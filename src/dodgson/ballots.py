@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .election import Election
+import numpy as np
+
+from .election import Election, invalid_votes
 
 
 class BallotParseError(ValueError):
@@ -86,7 +88,7 @@ def parse_ballots(text: str) -> BallotFile:
     names: Optional[dict[str, int]] = None
     if body and body[0][1].lower().startswith("names:"):
         no, line = body[0]
-        tokens = [t.strip() for t in line.split(":", 1)[1].split(",")]
+        tokens = _tokens(line.split(":", 1)[1])
         if len(tokens) != m or any(not t for t in tokens):
             raise BallotParseError(no, f"names header must declare exactly {m} names")
         if len(set(tokens)) != m:
@@ -97,62 +99,92 @@ def parse_ballots(text: str) -> BallotFile:
     if len(body) != n:
         where = body[n][0] if len(body) > n else lines[-1][0]
         raise BallotParseError(where, f"expected {n} ballot lines, got {len(body)}")
+    if any(line.count(",") != m - 1 for _, line in body):
+        _check_entries(body, m)  # raises
 
-    rows = [(no, [t.strip() for t in line.split(",")]) for no, line in body]
-    for no, tokens in rows:
+    # Sized from n and m only now that the text holds n lines of m entries.
+    # int64, so that an index too large for it raises rather than wraps.
+    ranks = np.empty((n, m), dtype=np.int64)
+    filled = 0
+    if names is None:  # int() strips the whitespace around an entry itself
+        filled = _fill(ranks, body, lambda line: list(map(int, line.split(","))))
+    if filled < n:  # a names header, or some entry is no integer index
+        _check_entries(body, m)
+        if names is None and not all(map(_is_int, _tokens(body[0][1]))):
+            names = _first_appearance(body, m)
+        if names is not None:
+            filled = _fill(ranks, body, lambda line: [names[t] for t in _tokens(line)])
+    if filled == n:
+        try:
+            election = Election.from_rows(m, ranks[:, ::-1])  # store ascending
+        except ValueError:  # some ballot is no ranking; located below
+            pass
+        else:
+            if names is None:
+                return BallotFile(election, tuple(str(i) for i in range(1, m + 1)))
+            return BallotFile(election, tuple(sorted(names, key=names.__getitem__)))
+    bad = invalid_votes(m, ranks[:filled])
+    no, line = body[int(bad[0]) if len(bad) else filled]
+    raise _ballot_error(no, line, m, names)
+
+
+def _tokens(line: str) -> list[str]:
+    return [t.strip() for t in line.split(",")]
+
+
+def _fill(ranks: np.ndarray, body: list[tuple[int, str]], row_of) -> int:
+    """Write ``row_of(line)`` into successive rows; stop at the first line it rejects.
+
+    Returns the number of rows filled.
+    """
+    for i, (_, line) in enumerate(body):
+        try:
+            ranks[i] = row_of(line)
+        except (KeyError, ValueError, OverflowError):
+            return i
+    return len(body)
+
+
+def _check_entries(body: list[tuple[int, str]], m: int) -> None:
+    """Raise for the first line that does not hold m non-empty entries."""
+    for no, line in body:
+        tokens = _tokens(line)
         if len(tokens) != m or any(not t for t in tokens):
             raise BallotParseError(no, f"expected {m} comma-separated entries")
 
-    if names is None and all(_is_int(t) for t in rows[0][1]):
-        resolve = None  # integer indices
-    elif names is None:
-        resolve = {}
-        for _, tokens in rows:  # first-appearance order, most preferred first
-            for t in tokens:
-                if t not in resolve:
-                    if len(resolve) == m:
-                        break
-                    resolve[t] = len(resolve) + 1
-    else:
-        resolve = names
 
-    votes = []
-    labels: tuple[str, ...]
-    for no, tokens in rows:
-        ranking = []
-        for t in tokens:
-            if resolve is None:
-                if not _is_int(t) or not 1 <= int(t) <= m:
-                    raise BallotParseError(no, f"candidate index {t!r} out of range 1..{m}")
-                ranking.append(int(t))
-            else:
-                if t not in resolve:
-                    raise BallotParseError(no, f"unknown candidate {t!r}")
-                ranking.append(resolve[t])
-        if len(set(ranking)) != m:
-            raise BallotParseError(no, f"ballot is not a strict ranking of all {m} candidates")
-        votes.append(tuple(reversed(ranking)))  # store ascending
+def _first_appearance(body: list[tuple[int, str]], m: int) -> dict[str, int]:
+    """Index names in reading order, most preferred first, up to m of them."""
+    names: dict[str, int] = {}
+    for _, line in body:
+        for t in _tokens(line):
+            names.setdefault(t, len(names) + 1)
+            if len(names) == m:
+                return names
+    return names
 
-    if resolve is None:
-        labels = tuple(str(i) for i in range(1, m + 1))
-    else:
-        by_index = {i: t for t, i in resolve.items()}
-        labels = tuple(by_index[i] for i in range(1, m + 1))
-    return BallotFile(Election(m, tuple(votes)), labels)
+
+def _ballot_error(no: int, line: str, m: int, names: Optional[dict[str, int]]) -> BallotParseError:
+    """The error for a rejected ballot line: its first bad entry, else its ranking."""
+    for t in _tokens(line):
+        if names is None and not (_is_int(t) and 1 <= int(t) <= m):
+            return BallotParseError(no, f"candidate index {t!r} out of range 1..{m}")
+        if names is not None and t not in names:
+            return BallotParseError(no, f"unknown candidate {t!r}")
+    return BallotParseError(no, f"ballot is not a strict ranking of all {m} candidates")
 
 
 def format_ballots(e: Election, labels: Optional[Sequence[str]] = None) -> str:
     """Canonical text for an election: header, optional names, ballots."""
     out = [f"{e.m} {e.n}"]
-    if labels is not None and tuple(labels) != tuple(str(i) for i in range(1, e.m + 1)):
+    names = (None, *(str(i) for i in e.candidates))
+    if labels is not None and tuple(labels) != names[1:]:
         if len(labels) != e.m:
             raise ValueError(f"need {e.m} labels, got {len(labels)}")
         out.append("names: " + ",".join(labels))
-        name = lambda c: labels[c - 1]
-    else:
-        name = str
-    for vote in e.votes:
-        out.append(",".join(name(c) for c in reversed(vote)))
+        names = (None, *labels)
+    # one row per vote, most preferred first
+    out.extend(",".join([names[c] for c in row]) for row in e.ranks[:, ::-1].tolist())
     return "\n".join(out) + "\n"
 
 

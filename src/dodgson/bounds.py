@@ -20,14 +20,14 @@ import itertools
 import json
 import time
 from dataclasses import asdict, dataclass
-from math import exp, factorial
+from math import exp
 from typing import Optional
 
 import numpy as np
 
 from .election import DodgsonTriple, Election, adjacency_counts, preference_counts
 from .greedy import Confidence, score_from_stats, stats_from_matrices
-from .oracle import BudgetExceededError, ScoreMode, dodgson_winners, exact_dodgson_score
+from .oracle import ScoreMode, dodgson_winners, exact_dodgson_score, profile_count
 from .sampling import SamplerConfig, rank_array, substream_seed
 
 EXHAUSTIVE_PROFILE_CAP = 10**6
@@ -174,12 +174,7 @@ def run_trials(
     t0 = time.perf_counter()
 
     if exhaustive:
-        total = factorial(m) ** n
-        if total > EXHAUSTIVE_PROFILE_CAP:
-            raise BudgetExceededError(
-                f"exhaustive mode needs (m!)^n <= {EXHAUSTIVE_PROFILE_CAP}, "
-                f"got {total}"
-            )
+        total = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
         perms = list(itertools.permutations(range(1, m + 1)))
         profiles = itertools.product(perms, repeat=n)
         ranks_iter = (np.array(p, dtype=np.int32) for p in profiles)
@@ -213,7 +208,7 @@ def run_trials(
                 )
 
         if oracle:
-            e = Election(m, tuple(tuple(int(x) for x in row) for row in ranks))
+            e = Election.from_rows(m, ranks)
             exact = {
                 c: exact_dodgson_score(
                     DodgsonTriple(e, c), ScoreMode.STRICT, state_budget=oracle_budget

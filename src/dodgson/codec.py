@@ -21,7 +21,9 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
-from .election import DodgsonTriple, Election
+import numpy as np
+
+from .election import DodgsonTriple, Election, invalid_votes
 
 _DTB_WRAP = 64
 
@@ -45,20 +47,22 @@ def encode(triple: DodgsonTriple) -> str:
     """Encode a triple as a '0'/'1' string."""
     e, c = triple.election, triple.candidate
     w = field_width(e.m)
-    parts = ["1" * w, "0", f"{e.m:0{w}b}", f"{c:0{w}b}"]
-    for vote in e.votes:
-        for cand in vote:
-            parts.append(f"{cand:0{w}b}")
-    return "".join(parts)
+    header = ("1" * w + "0" + f"{e.m:0{w}b}{c:0{w}b}").encode("ascii")
+    fields = e.ranks.ravel()
+    out = np.empty(len(header) + fields.size * w, dtype=np.uint8)
+    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    votes = out[len(header) :].reshape(-1, w)
+    for k in range(w):  # column k holds bit w-1-k of every field
+        np.bitwise_and(fields >> (w - 1 - k), 1, out=votes[:, k], casting="unsafe")
+    votes += ord("0")
+    return out.tobytes().decode("ascii")
 
 
 def decode(bits: str) -> DodgsonTriple:
     """Exact inverse of :func:`encode`; rejects anything non-canonical."""
     if not bits:
         raise BitDecodeError("empty bit string")
-    bad = set(bits) - {"0", "1"}
-    if bad:
-        raise BitDecodeError(f"not a bit string: unexpected {sorted(bad)!r}")
+    chars = _bit_chars(bits, "not a bit string")
 
     w = bits.find("0")
     if w < 0:
@@ -96,16 +100,27 @@ def decode(bits: str) -> DodgsonTriple:
             f"trailing bits: {rest} vote bits is not a multiple of {vote_bits}"
         )
 
-    full = frozenset(range(1, m + 1))
-    votes = []
-    for _ in range(rest // vote_bits):
-        vote = tuple(int(take(w, "vote field"), 2) for _ in range(m))
-        if any(not 1 <= cand <= m for cand in vote):
-            raise BitDecodeError(f"vote field out of range 1..{m}: {vote!r}")
-        if set(vote) != full:
-            raise BitDecodeError(f"vote is not a permutation of 1..{m}: {vote!r}")
-        votes.append(vote)
-    return DodgsonTriple(Election(m, tuple(votes)), c)
+    fields = chars[pos:].reshape(-1, w)
+    ranks = np.zeros(len(fields), dtype=np.int64)
+    for k in range(w):
+        ranks <<= 1
+        ranks |= fields[:, k] & 1  # '0' is 0x30, '1' is 0x31
+    ranks = ranks.reshape(-1, m)
+    try:
+        return DodgsonTriple(Election.from_rows(m, ranks), c)
+    except ValueError:  # some vote is no permutation of 1..m
+        vote = tuple(ranks[invalid_votes(m, ranks)[0]].tolist())
+    if any(not 1 <= cand <= m for cand in vote):
+        raise BitDecodeError(f"vote field out of range 1..{m}: {vote!r}")
+    raise BitDecodeError(f"vote is not a permutation of 1..{m}: {vote!r}")
+
+
+def _bit_chars(bits: str, what: str) -> np.ndarray:
+    """The characters of ``bits`` as a uint8 array; rejects any but '0' and '1'."""
+    chars = np.frombuffer(bits.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if ((chars | 1) != ord("1")).any():  # only '0' (0x30) and '1' (0x31) pass
+        raise BitDecodeError(f"{what}: unexpected {sorted(set(bits) - {'0', '1'})!r}")
+    return chars
 
 
 # -- file formats -----------------------------------------------------------
@@ -121,9 +136,7 @@ def write_dtb(bits: str, path) -> None:
 def read_dtb(path) -> str:
     text = Path(path).read_text()
     bits = "".join(text.split())
-    bad = set(bits) - {"0", "1"}
-    if bad:
-        raise BitDecodeError(f"not a bit file: unexpected {sorted(bad)!r}")
+    _bit_chars(bits, "not a bit file")
     if not bits:
         raise BitDecodeError("empty bit file")
     return bits
@@ -131,10 +144,8 @@ def read_dtb(path) -> str:
 
 def write_dtbz(bits: str, path) -> None:
     """Packed bit file: u64 big-endian bit count, then zero-padded bytes."""
-    payload = bytearray(struct.pack(">Q", len(bits)))
-    for i in range(0, len(bits), 8):
-        payload.append(int(bits[i : i + 8].ljust(8, "0"), 2))
-    Path(path).write_bytes(bytes(payload))
+    packed = np.packbits(_bit_chars(bits, "not a bit string") & 1)
+    Path(path).write_bytes(struct.pack(">Q", len(bits)) + packed.tobytes())
 
 
 def read_dtbz(path) -> str:
@@ -148,7 +159,9 @@ def read_dtbz(path) -> str:
         raise BitDecodeError(
             f"trailing bits: payload holds {len(body)} bytes, header implies {expected}"
         )
-    bits = "".join(f"{byte:08b}" for byte in body)
-    if any(b == "1" for b in bits[nbits:]):
+    chars = np.unpackbits(np.frombuffer(body, dtype=np.uint8))
+    if chars[nbits:].any():
         raise BitDecodeError("trailing bits: nonzero padding in final byte")
-    return bits[:nbits]
+    chars = chars[:nbits]
+    chars += ord("0")
+    return chars.tobytes().decode("ascii")

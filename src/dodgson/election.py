@@ -8,8 +8,7 @@ preferred candidate first; see :mod:`dodgson.ballots`.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,28 +20,32 @@ Vote = tuple[int, ...]
 class Election:
     """An ordered profile of n strict rankings over candidates 1..m.
 
-    Immutable after construction; zero candidates or zero voters are not
-    valid elections.
+    ``votes`` may be given as any sequence of rows or as an (n, m) integer
+    array; it is stored as a tuple of tuples.  Immutable after construction;
+    zero candidates or zero voters are not valid elections.
     """
 
     m: int
     votes: tuple[Vote, ...]
+    ranks: np.ndarray = field(init=False, repr=False, compare=False)
+    """Read-only (n, m) int32 array of the votes; row i lists vote i ascending."""
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"need at least one candidate, got m={self.m}")
-        if not isinstance(self.votes, tuple) or not all(
-            isinstance(v, tuple) for v in self.votes
-        ):
-            object.__setattr__(self, "votes", tuple(tuple(v) for v in self.votes))
-        if len(self.votes) < 1:
-            raise ValueError("need at least one vote")
-        full = frozenset(range(1, self.m + 1))
-        for i, vote in enumerate(self.votes):
-            if len(vote) != self.m or set(vote) != full:
-                raise ValueError(
-                    f"vote {i} is not a permutation of 1..{self.m}: {vote!r}"
-                )
+        votes = self.votes
+        if isinstance(votes, np.ndarray):
+            ranks = _validated_ranks(self.m, votes, votes)
+            votes = tuple(map(tuple, ranks.tolist()))
+        else:
+            if not isinstance(votes, tuple) or not all(isinstance(v, tuple) for v in votes):
+                votes = tuple(tuple(v) for v in votes)
+            for i, vote in enumerate(votes):  # shape first: no oversized allocation
+                if len(vote) != self.m:
+                    raise _not_a_permutation(self.m, i, vote)
+            ranks = _validated_ranks(self.m, np.array(votes), votes)
+        object.__setattr__(self, "votes", votes)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def n(self) -> int:
@@ -52,18 +55,45 @@ class Election:
     def candidates(self) -> range:
         return range(1, self.m + 1)
 
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """(n, m) array view of the votes; row i lists vote i ascending."""
-        arr = np.fromiter(
-            (c for vote in self.votes for c in vote), dtype=np.int32, count=self.n * self.m
-        ).reshape(self.n, self.m)
-        arr.setflags(write=False)
-        return arr
-
     @classmethod
     def from_rows(cls, m: int, rows: Iterable[Sequence[int]]) -> "Election":
-        return cls(m, tuple(tuple(int(c) for c in row) for row in rows))
+        """Election from an (n, m) array of ascending rows (or any iterable of rows)."""
+        return cls(m, rows)
+
+
+def invalid_votes(m: int, ranks: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an (n, m) integer array that are not permutations of 1..m.
+
+    A row is a permutation exactly when it sorts to 1..m, which also bounds its range.
+    """
+    return np.flatnonzero((np.sort(ranks, axis=1) != np.arange(1, m + 1)).any(axis=1))
+
+
+def _not_a_permutation(m: int, i: int, vote) -> ValueError:
+    if isinstance(vote, np.ndarray):
+        vote = vote.tolist()
+    return ValueError(f"vote {i} is not a permutation of 1..{m}: {tuple(vote)!r}")
+
+
+def _validated_ranks(m: int, arr: np.ndarray, rows) -> np.ndarray:
+    """Read-only int32 copy of ``arr`` after checking every row is a permutation.
+
+    ``rows`` are the votes as the caller gave them (``arr`` itself, or what
+    it was built from); they only feed the error message for the first bad row.
+    """
+    if arr.shape[:1] == (0,):
+        raise ValueError("need at least one vote")
+    if arr.ndim != 2 or arr.shape[1] != m:
+        raise ValueError(f"expected an (n, {m}) array of votes, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":  # floats, strings, oversized ints
+        i = next((i for i, row in enumerate(rows) if np.asarray(row).dtype.kind not in "iu"), 0)
+        raise _not_a_permutation(m, i, rows[i])
+    bad = invalid_votes(m, arr)
+    if len(bad):
+        raise _not_a_permutation(m, int(bad[0]), rows[bad[0]])
+    ranks = arr.astype(np.int32)
+    ranks.setflags(write=False)
+    return ranks
 
 
 @dataclass(frozen=True)

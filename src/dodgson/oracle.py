@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from math import factorial, prod
+from math import lgamma, log, log10
+from typing import Iterable, Optional
 
 from .election import DodgsonTriple, Election, pairwise_stats
 
@@ -34,6 +35,42 @@ class ScoreMode(str, Enum):
 
 class BudgetExceededError(RuntimeError):
     """Instance is too large for the configured oracle search budget."""
+
+
+def _capped_product(factors: Iterable[int], cap: int) -> Optional[int]:
+    """Product of ``factors`` (each at least 2), or None once it exceeds ``cap``.
+
+    That takes at most ceil(log2 cap) + 1 multiplications, so no integer much
+    larger than ``cap`` is ever built.
+    """
+    total = 1
+    for f in factors:
+        total *= f
+        if total > cap:
+            return None
+    return total
+
+
+def _over_budget(what: str, log10_size: float, cap: int) -> BudgetExceededError:
+    excess = log10_size - log10(max(cap, 1))
+    return BudgetExceededError(
+        f"{what} ~ 10^{log10_size:.1f}, over the budget of {cap} by a factor of ~10^{excess:.1f}"
+    )
+
+
+def profile_count(m: int, n: int, cap: int, what: str) -> int:
+    """(m!)^n, the number of n-vote profiles over m candidates, if it is at most ``cap``.
+
+    Otherwise raises :class:`BudgetExceededError`; its message names ``what``
+    and gives the excess as a power of ten.  The factors 2..m of each m! are
+    multiplied in one at a time, so no huge integer is built.
+    """
+    if m == 1:
+        return 1  # however many votes; and range(n) may be too long to walk
+    total = _capped_product((k for _ in range(n) for k in range(2, m + 1)), cap)
+    if total is None:
+        raise _over_budget(f"{what} needs (m!)^n = ({m}!)^{n}", n * lgamma(m + 1) / log(10), cap)
+    return total
 
 
 def flips_needed(deficit: int, mode: ScoreMode) -> int:
@@ -64,11 +101,11 @@ def exact_dodgson_score(
     needs = {d: k for d, z in stats.deficit.items() if (k := flips_needed(z, mode)) > 0}
     if not needs:
         return 0
-    n_states = prod(k + 1 for k in needs.values())
-    if n_states > state_budget:
-        raise BudgetExceededError(
-            f"DP state space {n_states} exceeds budget {state_budget} "
-            f"(m={e.m}, n={e.n})"
+    if _capped_product((k + 1 for k in needs.values()), state_budget) is None:
+        raise _over_budget(
+            f"DP state space (m={e.m}, n={e.n})",
+            sum(log10(k + 1) for k in needs.values()),
+            state_budget,
         )
     advs = sorted(needs)
     index = {d: j for j, d in enumerate(advs)}
@@ -120,10 +157,7 @@ def bfs_swap_score(
     m, n = e.m, e.n
     if m == 1:
         return 0
-    if factorial(m) ** n > profile_budget:
-        raise BudgetExceededError(
-            f"profile space {factorial(m)}^{n} exceeds budget {profile_budget}"
-        )
+    profile_count(m, n, profile_budget, "profile search")
 
     perms = list(itertools.permutations(range(1, m + 1)))
     perm_id = {p: i for i, p in enumerate(perms)}

@@ -44,11 +44,7 @@ def sample_ranks(cfg: SamplerConfig) -> np.ndarray:
 
 def sample_election(cfg: SamplerConfig) -> Election:
     """One uniform random election; identical config gives identical votes."""
-    arr = sample_ranks(cfg)
-    e = Election(cfg.m, tuple(tuple(row) for row in arr.tolist()))
-    arr.setflags(write=False)
-    e.__dict__["ranks"] = arr  # pre-seed the cached array view
-    return e
+    return Election.from_rows(cfg.m, sample_ranks(cfg))
 
 
 def substream_seed(seed: int, trial: int) -> int:

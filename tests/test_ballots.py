@@ -23,6 +23,10 @@ class TestParse:
         assert bf.labels == ("a", "b", "c")
         assert bf.election.votes[0] == (2, 1, 3)
 
+    def test_crlf_and_padding(self):
+        bf = parse_ballots("3 2\r\n 3 , 1,2 \r\n\r\n2,3,1\r\n")
+        assert bf.election == Election(3, ((2, 1, 3), (1, 3, 2)))
+
     def test_comments_and_blanks_ignored(self):
         bf = parse_ballots("# ballots\n\n2 1\n\n# the only vote\n2,1\n")
         assert bf.election.votes == ((1, 2),)
@@ -82,6 +86,28 @@ class TestParseErrors:
     def test_extra_ballots(self):
         line, msg = self.line_of("2 1\na,b\nb,a\n")
         assert line == 3 and "expected 1 ballot lines" in msg
+
+    def test_huge_header_fails_before_allocating(self):
+        # arrays are sized from the header only once the body matches it
+        line, msg = self.line_of("100000 100000\n1\n")
+        assert line == 2 and "expected 100000 ballot lines" in msg
+        line, msg = self.line_of("1000000000 1\n1\n")
+        assert line == 2 and "expected 1000000000 comma-separated entries" in msg
+
+    def test_error_order_follows_the_file(self):
+        # a short line anywhere outranks a bad entry on an earlier line
+        assert self.line_of("2 3\n1,1\n1,2\n1\n")[0] == 4
+        # rows before a non-integer entry are checked first
+        line, msg = self.line_of("2 3\n1,2\n2,2\n1,x\n")
+        assert line == 3 and "strict ranking" in msg
+        line, msg = self.line_of("2 2\n1,2\n5,x\n")
+        assert line == 3 and "'5' out of range" in msg
+
+    def test_index_too_large_for_any_integer_type(self):
+        line, msg = self.line_of("2 2\n1,2\n2,99999999999999999999\n")
+        assert line == 3 and "out of range" in msg
+        line, msg = self.line_of("2 1\n99999999999999999999,1\n")
+        assert line == 2 and "out of range" in msg
 
 
 class TestFormat:

@@ -100,6 +100,13 @@ class TestRunTrials:
         with pytest.raises(BudgetExceededError):
             run_trials(BoundParams(4, 6), 1, seed=0, exhaustive=True)
 
+    def test_exhaustive_cap_never_builds_the_count(self):
+        from dodgson import BudgetExceededError
+
+        # (10!)^1000 has 6560 digits, too many to print as an integer
+        with pytest.raises(BudgetExceededError, match=r"exhaustive mode.*10\^6559\.8"):
+            run_trials(BoundParams(10, 1000), 1, seed=0, exhaustive=True)
+
     def test_deterministic_given_seed(self):
         a = run_trials(BoundParams(3, 25), 500, seed=9)
         b = run_trials(BoundParams(3, 25), 500, seed=9)

@@ -168,6 +168,13 @@ class TestExperiment:
         assert header[:4] == ["m", "n", "trials", "seed"]
 
 
+    def test_exhaustive_over_the_cap_is_a_budget_error(self, capsys):
+        rc = main(["experiment", "-m", "10", "-n", "1000", "--exhaustive"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "exhaustive mode" in err and "10^6559.8" in err
+
+
 class TestCodecCommands:
     def test_encode_decode_round_trip(self, capsys, tmp_path, cycle_file):
         bitfile = str(tmp_path / "t.dtb")

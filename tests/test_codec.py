@@ -79,6 +79,14 @@ class TestDecodeErrors:
         with pytest.raises(BitDecodeError):
             decode("10x11")
 
+    def test_wide_header_without_votes(self):
+        # L = 30 declares m ~ 2^29 candidates; nothing may be sized from it
+        m = 2**29 + 5
+        with pytest.raises(BitDecodeError, match="no votes"):
+            decode("1" * 30 + "0" + f"{m:030b}" + f"{1:030b}")
+        with pytest.raises(BitDecodeError, match="trailing bits"):
+            decode("1" * 30 + "0" + f"{m:030b}" + f"{1:030b}" + "01" * 40)
+
     def test_two_single_candidate_votes_decode(self):
         # m=1: every remaining 1-bit field is one vote
         t = decode("101111")

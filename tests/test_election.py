@@ -42,6 +42,48 @@ class TestValidation:
         e = Election(2, [[1, 2], [2, 1]])
         assert e.votes == ((1, 2), (2, 1))
 
+    def test_huge_m_fails_on_shape_first(self):
+        with pytest.raises(ValueError, match="vote 0 is not a permutation"):
+            Election(10**9, ((1,),))
+
+    def test_first_bad_vote_is_named(self):
+        with pytest.raises(ValueError, match=r"vote 2 is not a permutation of 1..3: \(1, 3, 3\)"):
+            Election(3, ((1, 2, 3), (3, 2, 1), (1, 3, 3), (0, 1, 2)))
+
+    def test_rejects_non_integer_entries(self):
+        for bad in ((1.0, 2.0), ("1", "2"), (1, 2**70), (1, None)):
+            with pytest.raises(ValueError, match="vote 1 is not a permutation"):
+                Election(2, ((1, 2), bad))
+
+
+class TestFromRows:
+    def test_array_rows(self):
+        arr = np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64)
+        e = Election.from_rows(3, arr)
+        assert e == Election(3, ((2, 1, 3), (1, 3, 2)))
+        assert all(type(c) is int for v in e.votes for c in v)
+        assert e.ranks.dtype == np.int32 and not e.ranks.flags.writeable
+        arr[0, 0] = 3  # the election keeps its own copy
+        assert e.ranks[0, 0] == 2
+
+    def test_iterable_rows(self):
+        assert Election.from_rows(2, iter([[1, 2]])) == Election(2, ((1, 2),))
+
+    def test_array_errors(self):
+        with pytest.raises(ValueError, match=r"vote 1 is not a permutation of 1..2: \(2, 2\)"):
+            Election.from_rows(2, np.array([[1, 2], [2, 2]]))
+        with pytest.raises(ValueError, match="vote 0 is not a permutation"):
+            Election.from_rows(2, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"expected an \(n, 3\) array"):
+            Election.from_rows(3, np.array([[1, 2]]))
+        with pytest.raises(ValueError, match="at least one vote"):
+            Election.from_rows(3, np.zeros((0, 3), dtype=int))
+
+    @given(elections())
+    def test_ranks_match_votes(self, e):
+        assert e.ranks.tolist() == [list(v) for v in e.votes]
+        assert Election.from_rows(e.m, e.ranks) == e
+
 
 class TestPairwiseStats:
     def test_sixty_forty_candidate_a(self, sixty_forty):

@@ -20,6 +20,7 @@ from dodgson import (
     greedy_score,
     sample_stream,
 )
+from dodgson.oracle import profile_count
 
 STRICT = ScoreMode.STRICT
 TIE = ScoreMode.TIE_OR_BEAT
@@ -55,6 +56,12 @@ class TestExactScore:
         e = Election(2, ((1, 2), (1, 2)))
         assert exact_dodgson_score(DodgsonTriple(e, 1), STRICT) == 2
         assert exact_dodgson_score(DodgsonTriple(e, 1), TIE) == 1
+
+    def test_budget_error_never_builds_the_state_count(self):
+        # candidate 1 is last on the one ballot: 2^14999 states, 4516 digits
+        e = Election(15000, (tuple(range(1, 15001)),))
+        with pytest.raises(BudgetExceededError, match=r"DP state space.*10\^4515\.1"):
+            exact_dodgson_score(DodgsonTriple(e, 1))
 
     def test_budget_error(self, five_type):
         with pytest.raises(BudgetExceededError):
@@ -119,6 +126,11 @@ class TestBfsOracle:
         with pytest.raises(BudgetExceededError):
             bfs_swap_score(DodgsonTriple(cycle, 1), profile_budget=100)
 
+    def test_budget_error_gives_the_excess(self):
+        e = Election(10, tuple(tuple(range(1, 11)) for _ in range(1000)))
+        with pytest.raises(BudgetExceededError, match=r"profile search.*10\^6559\.8.*10\^6553\.8"):
+            bfs_swap_score(DodgsonTriple(e, 1))
+
     def test_exhaustive_agreement_m3_n2(self):
         # every profile, every candidate, both modes: BFS == DP
         perms = list(itertools.permutations((1, 2, 3)))
@@ -139,6 +151,26 @@ class TestBfsOracle:
             for mode in (STRICT, TIE):
                 t = DodgsonTriple(e, c)
                 assert bfs_swap_score(t, mode) == exact_dodgson_score(t, mode)
+
+
+class TestProfileCount:
+    def test_exact_within_the_cap(self):
+        assert profile_count(3, 3, 216, "test") == 216
+        assert profile_count(4, 2, 10**6, "test") == 576
+
+    def test_one_over_the_cap_raises(self):
+        with pytest.raises(BudgetExceededError, match="test needs"):
+            profile_count(3, 3, 215, "test")
+
+    def test_single_candidate_has_one_profile(self):
+        assert profile_count(1, 10**12, 1, "test") == 1
+
+    def test_huge_spaces_are_never_built(self):
+        # (2!)^(10^12) has about 3e11 digits; building it would not finish
+        with pytest.raises(BudgetExceededError, match=r"10\^301029995664\.0"):
+            profile_count(2, 10**12, 10**6, "test")
+        with pytest.raises(BudgetExceededError):
+            profile_count(10**5, 10**12, 0, "test")
 
 
 class TestDodgsonWinners:
