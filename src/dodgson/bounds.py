@@ -19,16 +19,22 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import exp
 from typing import Optional
 
 import numpy as np
 
-from .election import DodgsonTriple, Election, adjacency_counts, preference_counts
-from .greedy import Confidence, score_from_stats, stats_from_matrices
+from .election import (
+    DodgsonTriple,
+    Election,
+    adjacency_counts,
+    pairwise_stats,
+    preference_counts,
+)
+from .greedy import Confidence, _score_all
 from .oracle import ScoreMode, dodgson_winners, exact_dodgson_score, profile_count
-from .sampling import SamplerConfig, rank_array, substream_seed
+from .sampling import SamplerConfig, sample_ranks, substream_seed
 
 EXHAUSTIVE_PROFILE_CAP = 10**6
 
@@ -121,28 +127,26 @@ def pair_condition_holds(triple: DodgsonTriple, d: int) -> bool:
     For candidate c against adversary d:
     #votes(d preferred to c) <= (2mn + n) / 4m  and
     #votes(d immediately above c) >= 3n / 4m.
-    Evaluated with cross-multiplied integers; no floating point.
+    Both counts are read off :func:`pairwise_stats`.
     """
     e, c = triple.election, triple.candidate
     if d == c or not 1 <= d <= e.m:
         raise ValueError(f"adversary {d} invalid for candidate {c} in 1..{e.m}")
-    prefer_d = 0
-    adjacent = 0
-    for vote in e.votes:
-        ic = vote.index(c)
-        idx = vote.index(d)
-        if ic < idx:
-            prefer_d += 1
-            if idx == ic + 1:
-                adjacent += 1
-    m, n = e.m, e.n
-    return 4 * m * prefer_d <= 2 * m * n + n and 4 * m * adjacent >= 3 * n
+    stats = pairwise_stats(triple)
+    return _pair_ok((stats.deficit[d] + e.n) // 2, stats.swaps[d], e.m, e.n)
+
+
+def _pair_ok(prefer_d, adjacent, m: int, n: int):
+    """The two tally conditions, cross-multiplied to integers; no floating point.
+
+    Works elementwise on arrays of counts as well as on single counts.
+    """
+    return (4 * m * prefer_d <= 2 * m * n + n) & (4 * m * adjacent >= 3 * n)
 
 
 def _pair_condition_matrix(pref: np.ndarray, adj: np.ndarray, m: int, n: int) -> np.ndarray:
     """ok[c-1, d-1] = tally conditions hold for ordered pair (c, d); diagonal True."""
-    prefer_d = pref.T  # prefer_d[c-1, d-1] = #votes preferring d to c
-    ok = (4 * m * prefer_d <= 2 * m * n + n) & (4 * m * adj >= 3 * n)
+    ok = _pair_ok(pref.T, adj, m, n)  # pref.T[c-1, d-1] = #votes preferring d to c
     np.fill_diagonal(ok, True)
     return ok
 
@@ -163,7 +167,8 @@ def run_trials(
     violates the tally conditions.  Two proven facts are enforced as hard
     errors on every trial: a candidate whose pairs all satisfy the conditions
     must be definite, and (with oracle=on) every definite score/answer must
-    match the exact oracle.
+    match the exact oracle.  Each error names the trial, and the substream
+    seed (or exhaustive profile index) that regenerates its election.
 
     With ``exhaustive=True`` all (m!)^n profiles are enumerated instead of
     sampling, so the reported frequencies are exact; ``trials`` is ignored.
@@ -181,18 +186,20 @@ def run_trials(
         trials = total
     else:
         cfg = SamplerConfig(m, n, seed)
-        ranks_iter = (
-            rank_array(np.random.default_rng(np.random.SeedSequence(substream_seed(cfg.seed, i))), m, n)
-            for i in range(trials)
-        )
+        ranks_iter = (sample_ranks(replace(cfg, seed=substream_seed(seed, i)))
+                      for i in range(trials))
+
+    def where(i: int) -> str:
+        source = f"profile {i}" if exhaustive else f"substream seed {substream_seed(seed, i)}"
+        return f"trial {i}, {source}, m={m}, n={n}, seed={seed}"
 
     maybe_count = 0
     pairfail_count = 0
-    mismatch_count = 0
-    for ranks in ranks_iter:
+    mismatches: list[int] = []
+    for i, ranks in enumerate(ranks_iter):
         pref = preference_counts(ranks)
         adj = adjacency_counts(ranks)
-        results = [score_from_stats(stats_from_matrices(pref, adj, c)) for c in range(1, m + 1)]
+        results = _score_all(pref, adj)
         definite = [r.confidence is Confidence.DEFINITELY for r in results]
         if not all(definite):
             maybe_count += 1
@@ -204,7 +211,7 @@ def run_trials(
             if ok[c - 1].all() and not definite[c - 1]:
                 raise SelfCheckError(
                     f"tally conditions hold for candidate {c} but greedy "
-                    f"confidence is 'maybe' (m={m}, n={n}, seed={seed})"
+                    f"confidence is 'maybe' ({where(i)})"
                 )
 
         if oracle:
@@ -226,12 +233,12 @@ def run_trials(
                     e, ScoreMode.STRICT, state_budget=oracle_budget
                 )
             if bad:
-                mismatch_count += 1
+                mismatches.append(i)
 
-    if mismatch_count:
+    if mismatches:
         raise SelfCheckError(
-            f"{mismatch_count} definite greedy answers disagreed with the exact "
-            f"oracle (m={m}, n={n}, seed={seed})"
+            f"{len(mismatches)} definite greedy answers disagreed with the exact "
+            f"oracle; the first in {where(mismatches[0])}"
         )
 
     return ExperimentReport(
@@ -241,7 +248,7 @@ def run_trials(
         seed=seed,
         maybe_count=maybe_count,
         pairfail_count=pairfail_count,
-        mismatch_count=mismatch_count,
+        mismatch_count=len(mismatches),
         bound_winner=bound_winner(params),
         bound_pair=bound_pair(params) if m >= 2 else None,
         wall_time=time.perf_counter() - t0,

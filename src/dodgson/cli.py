@@ -133,7 +133,7 @@ def cmd_decode(args) -> int:
         Path(args.output).write_text(format_ballots(e))
         summary["output"] = str(args.output)
     else:
-        summary["ballots"] = [list(reversed(v)) for v in e.votes]
+        summary["ballots"] = e.ranks[:, ::-1].tolist()
     _emit(summary)
     return 0
 

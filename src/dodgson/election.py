@@ -9,6 +9,7 @@ preferred candidate first; see :mod:`dodgson.ballots`.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -16,40 +17,52 @@ import numpy as np
 Vote = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Election:
     """An ordered profile of n strict rankings over candidates 1..m.
 
     ``votes`` may be given as any sequence of rows or as an (n, m) integer
-    array; it is stored as a tuple of tuples.  Immutable after construction;
-    zero candidates or zero voters are not valid elections.
+    array.  The only stored form is ``ranks``; the tuple form ``votes`` is
+    derived from it on first read.  Equality and hashing compare
+    ``(m, ranks)``.  Immutable after construction; zero candidates or zero
+    voters are not valid elections.
     """
 
     m: int
-    votes: tuple[Vote, ...]
-    ranks: np.ndarray = field(init=False, repr=False, compare=False)
+    ranks: np.ndarray = field(repr=False)
     """Read-only (n, m) int32 array of the votes; row i lists vote i ascending."""
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need at least one candidate, got m={self.m}")
-        votes = self.votes
+    def __init__(self, m: int, votes) -> None:
+        if m < 1:
+            raise ValueError(f"need at least one candidate, got m={m}")
         if isinstance(votes, np.ndarray):
-            ranks = _validated_ranks(self.m, votes, votes)
-            votes = tuple(map(tuple, ranks.tolist()))
+            ranks = _validated_ranks(m, votes, votes)
         else:
             if not isinstance(votes, tuple) or not all(isinstance(v, tuple) for v in votes):
                 votes = tuple(tuple(v) for v in votes)
             for i, vote in enumerate(votes):  # shape first: no oversized allocation
-                if len(vote) != self.m:
-                    raise _not_a_permutation(self.m, i, vote)
-            ranks = _validated_ranks(self.m, np.array(votes), votes)
-        object.__setattr__(self, "votes", votes)
+                if len(vote) != m:
+                    raise _not_a_permutation(m, i, vote)
+            ranks = _validated_ranks(m, np.array(votes), votes)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "ranks", ranks)
+
+    @cached_property
+    def votes(self) -> tuple[Vote, ...]:
+        """The votes as tuples of Python ints, built from ``ranks`` on first read."""
+        return tuple(map(tuple, self.ranks.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Election):
+            return NotImplemented
+        return self.m == other.m and np.array_equal(self.ranks, other.ranks)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.ranks.shape, self.ranks.tobytes()))
 
     @property
     def n(self) -> int:
-        return len(self.votes)
+        return len(self.ranks)
 
     @property
     def candidates(self) -> range:
@@ -125,21 +138,15 @@ class PairwiseStats:
 
 
 def pairwise_stats(triple: DodgsonTriple) -> PairwiseStats:
-    """Compute deficits and greedy-swap opportunities in one pass over the votes."""
+    """Compute deficits and greedy-swap opportunities in one O(nm) pass over ``ranks``."""
     e, c = triple.election, triple.candidate
-    deficit = {d: 0 for d in e.candidates if d != c}
-    swaps = dict.fromkeys(deficit, 0)
-    m = e.m
-    for vote in e.votes:
-        i = 0
-        while vote[i] != c:
-            deficit[vote[i]] -= 1
-            i += 1
-        if i + 1 < m:
-            swaps[vote[i + 1]] += 1
-        for j in range(i + 1, m):
-            deficit[vote[j]] += 1
-    return PairwiseStats(deficit, swaps)
+    ranks, m, n = e.ranks, e.m, e.n
+    is_c = ranks == c
+    pos = is_c.argmax(axis=1)  # position of c in each vote
+    below = np.bincount(ranks[np.arange(m) < pos[:, None]], minlength=m + 1).tolist()
+    swaps = np.bincount(ranks[:, 1:][is_c[:, :-1]], minlength=m + 1).tolist()  # just above c
+    others = [d for d in e.candidates if d != c]
+    return PairwiseStats({d: n - 2 * below[d] for d in others}, {d: swaps[d] for d in others})
 
 
 def condorcet_winner(e: Election) -> Optional[int]:

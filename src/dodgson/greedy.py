@@ -98,7 +98,7 @@ def greedy_all_winners(e: Election) -> GreedyWinnersResult:
     When confidence is ``definitely`` the returned set is exactly the Dodgson
     winner set.
     """
-    results = _score_all(e)
+    results = _score_all(preference_counts(e.ranks), adjacency_counts(e.ranks))
     best = min(r.score for r in results)
     winners = frozenset(c for c, r in zip(e.candidates, results) if r.score == best)
     confidence = Confidence.DEFINITELY
@@ -107,11 +107,10 @@ def greedy_all_winners(e: Election) -> GreedyWinnersResult:
     return GreedyWinnersResult(winners, confidence)
 
 
-def _score_all(e: Election) -> list[GreedyScoreResult]:
-    """Greedy score for every candidate via one pass of matrix tallies."""
-    pref = preference_counts(e.ranks)
-    adj = adjacency_counts(e.ranks)
-    return [score_from_stats(stats_from_matrices(pref, adj, c)) for c in e.candidates]
+def _score_all(pref, adj) -> list[GreedyScoreResult]:
+    """Greedy score for every candidate from full preference/adjacency matrices."""
+    return [score_from_stats(stats_from_matrices(pref, adj, c))
+            for c in range(1, pref.shape[0] + 1)]
 
 
 def stats_from_matrices(pref, adj, c: int) -> PairwiseStats:

@@ -10,14 +10,18 @@ from dodgson import (
     DodgsonTriple,
     Election,
     SamplerConfig,
+    SelfCheckError,
     bound_pair,
     bound_winner,
     greedy_score,
     pair_condition_holds,
     run_trials,
     sample_stream,
+    substream_seed,
 )
+from dodgson import bounds
 from dodgson.bounds import CSV_COLUMNS, write_csv, write_report
+from dodgson.greedy import GreedyScoreResult
 
 
 class TestBoundFormulas:
@@ -143,6 +147,45 @@ class TestRunTrials:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_trials(BoundParams(2, 2), 0, seed=0)
+
+
+def first_trial(m, n, seed, trials, has_event):
+    """Index of the first sampled election of a run for which has_event holds."""
+    stream = sample_stream(SamplerConfig(m, n, seed), trials)
+    return next(i for i, e in enumerate(stream) if has_event(e))
+
+
+class TestSelfCheckErrors:
+    """Every self-check error names the trial and how to regenerate its election."""
+
+    def test_oracle_mismatch_names_first_bad_trial(self, monkeypatch):
+        monkeypatch.setattr(bounds, "exact_dodgson_score", lambda *args, **kwargs: -1)
+        m, n, seed = 4, 6, 21
+        with pytest.raises(SelfCheckError) as info:
+            run_trials(BoundParams(m, n), 20, seed, oracle=True)
+        i = first_trial(m, n, seed, 20, lambda e: any(
+            greedy_score(DodgsonTriple(e, c)).confidence is Confidence.DEFINITELY
+            for c in e.candidates))
+        msg = str(info.value)
+        assert f"trial {i}, substream seed {substream_seed(seed, i)}," in msg
+        assert f"m={m}, n={n}, seed={seed}" in msg
+
+    def test_oracle_mismatch_in_exhaustive_run_names_profile(self, monkeypatch):
+        monkeypatch.setattr(bounds, "exact_dodgson_score", lambda *args, **kwargs: -1)
+        # profile 0 is two votes 1<2<3: candidate 3 is a definite Condorcet winner
+        with pytest.raises(SelfCheckError, match=r"first in trial 0, profile 0, m=3, n=2, seed=5"):
+            run_trials(BoundParams(3, 2), 1, 5, oracle=True, exhaustive=True)
+
+    def test_implication_failure_names_trial(self, monkeypatch):
+        maybe = GreedyScoreResult(0, Confidence.MAYBE)
+        monkeypatch.setattr(bounds, "_score_all", lambda pref, adj: [maybe] * len(pref))
+        m, n, seed = 2, 40, 3
+        with pytest.raises(SelfCheckError, match="greedy confidence is 'maybe'") as info:
+            run_trials(BoundParams(m, n), 50, seed)
+        i = first_trial(m, n, seed, 50, lambda e: pair_condition_holds(DodgsonTriple(e, 1), 2)
+                        or pair_condition_holds(DodgsonTriple(e, 2), 1))
+        assert f"(trial {i}, substream seed {substream_seed(seed, i)}, m=2, n=40, seed=3)" \
+            in str(info.value)
 
 
 class TestReportSerialization:

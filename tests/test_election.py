@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import given
 
 from conftest import elections, triples
 from dodgson import DodgsonTriple, Election, condorcet_winner, pairwise_stats
+from dodgson import SamplerConfig, sample_election
+from dodgson.ballots import format_ballots, parse_ballots
+from dodgson.codec import decode, encode
 from dodgson.election import adjacency_counts, preference_counts
 
 
@@ -83,6 +87,48 @@ class TestFromRows:
     def test_ranks_match_votes(self, e):
         assert e.ranks.tolist() == [list(v) for v in e.votes]
         assert Election.from_rows(e.m, e.ranks) == e
+
+
+class TestStoredForm:
+    def test_bulk_construction_does_not_build_votes(self):
+        e = sample_election(SamplerConfig(5, 40, seed=1))
+        assert "votes" not in vars(e)
+        parsed = parse_ballots(format_ballots(e)).election
+        assert "votes" not in vars(parsed)
+        decoded = decode(encode(DodgsonTriple(e, 1))).election
+        assert "votes" not in vars(decoded)
+        assert parsed == decoded == e
+
+    def test_votes_derived_on_first_read(self):
+        e = Election.from_rows(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
+        assert e.votes == ((2, 1, 3), (1, 3, 2))
+        assert all(type(v) is tuple and all(type(c) is int for c in v) for v in e.votes)
+        assert vars(e)["votes"] is e.votes  # cached
+        assert e.n == 2
+
+    def test_equal_profiles_from_any_input_form(self):
+        rows = ((2, 1, 3), (1, 3, 2))
+        forms = [
+            Election(3, rows),
+            Election(3, [list(r) for r in rows]),
+            Election(3, np.array(rows, dtype=np.int64)),
+            Election(3, np.array(rows, dtype=np.uint8)),
+            Election.from_rows(3, iter(rows)),
+        ]
+        for e in forms:
+            assert e == forms[0] and hash(e) == hash(forms[0])
+        assert len(set(forms)) == 1
+        assert Election(3, rows[::-1]) != forms[0]
+        assert Election(3, rows[:1]) != forms[0]
+        assert Election(2, ((1, 2),)) != Election(3, ((1, 2, 3),))
+        assert forms[0] != rows
+
+    def test_immutable(self):
+        e = Election(2, ((1, 2),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.m = 3
+        with pytest.raises(ValueError):
+            e.ranks[0, 0] = 2
 
 
 class TestPairwiseStats:

@@ -144,8 +144,8 @@ class TestBfsOracle:
     def test_random_agreement(self):
         rng = random.Random(99)
         for _ in range(60):
-            m = rng.choice((2, 3, 4))
-            n = rng.randint(1, {2: 9, 3: 6, 4: 3}[m])
+            m = rng.choice((2, 3, 4, 5))  # both modes stay covered at m=5
+            n = rng.randint(1, {2: 9, 3: 6, 4: 3, 5: 2}[m])
             e = next(iter(sample_stream(SamplerConfig(m, n, rng.getrandbits(64)), 1)))
             c = rng.randint(1, m)
             for mode in (STRICT, TIE):
