@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-bfs", action="store_true",
                    help="cross-check against the profile-search oracle")
     p.add_argument("--dp-budget", type=int, default=10**8,
-                   help="max DP states (default 1e8)")
+                   help="max DP states (default 1e8; up to 12 bytes of memory each)")
     p.add_argument("--bfs-budget", type=int, default=10**6,
                    help="max profiles for --check-bfs (default 1e6)")
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import triples
 from dodgson import (
+    BoundParams,
     BudgetExceededError,
     Confidence,
     DodgsonTriple,
@@ -18,6 +19,8 @@ from dodgson import (
     exact_dodgson_score,
     flips_needed,
     greedy_score,
+    run_trials,
+    sample_election,
     sample_stream,
 )
 from dodgson.oracle import profile_count
@@ -194,3 +197,17 @@ class TestDodgsonWinners:
         assert dodgson_winners(cycle) == frozenset(
             c for c, r in results.items() if r.score == best
         )
+
+
+class TestScaleGoldens:
+    """Values computed with the original dict-of-states DP, at sizes it took minutes on."""
+
+    def test_winners_m8_n40(self):
+        assert dodgson_winners(sample_election(SamplerConfig(8, 40, 0))) == frozenset({2})
+
+    def test_winners_m6_n200(self):
+        assert dodgson_winners(sample_election(SamplerConfig(6, 200, 1))) == frozenset({4})
+
+    def test_oracle_trials_m6_n200(self):
+        rep = run_trials(BoundParams(6, 200), 3, 0, oracle=True)
+        assert (rep.maybe_count, rep.pairfail_count, rep.mismatch_count) == (0, 3, 0)
