@@ -2,8 +2,13 @@
 
 ``exact_dodgson_score`` must equal the reference on every candidate and in
 both modes, and raise the same ``BudgetExceededError`` message when the
-state space is over the budget.  The budget below keeps each hypothesis
-example fast; the budget cases check that both sides count states alike.
+state space is over the budget.  The budget below bounds each hypothesis
+example; the budget cases check that both sides count states alike.
+
+The hypothesis tests run without a per-example deadline: their time is
+mostly the reference's dict DP, which grows with the number of states and
+takes from under a millisecond to a few hundred milliseconds per example
+at m=7, n=15.
 """
 
 import re
@@ -46,7 +51,7 @@ def state_count(t, mode):
 
 
 @given(elections(max_m=7, max_n=15))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @example(Election(1, ((1,),)))
 @example(Election(7, (tuple(range(1, 8)),) * 15))
 def test_every_candidate_and_mode_matches_reference(e):
@@ -65,6 +70,7 @@ def pinned_elections(draw, top):
 
 
 @given(pinned_elections(top=True))
+@settings(deadline=None)
 def test_candidate_on_top_of_every_vote_scores_zero(e):
     t = DodgsonTriple(e, e.m)
     for mode in ScoreMode:
@@ -73,6 +79,7 @@ def test_candidate_on_top_of_every_vote_scores_zero(e):
 
 
 @given(pinned_elections(top=False))
+@settings(deadline=None)
 def test_candidate_at_the_bottom_of_every_vote_matches_reference(e):
     assert_matches_reference(e)
 
