@@ -7,8 +7,10 @@ Two independent routes:
   on a dense numpy table; exact winners at m=8, n=40 take well under a
   second.  It models the search space as upward moves of the candidate only.
 * :func:`bfs_swap_score` -- assumption-free breadth-first search over whole
-  vote profiles, one adjacent swap (any pair, in any vote) per edge.  Only
-  feasible for tiny elections; exists to cross-validate the DP's model.
+  vote profiles, one adjacent swap (any pair, in any vote) per edge, one
+  numpy step per BFS level.  Feasible while the (m!)^n profiles fit its
+  budget (10^6 by default: up to m=9 with one vote, m=6 with two, m=2 with
+  19); exists to cross-validate the DP's model.
 
 Both support the strict goal (beat every other candidate head-on) and the
 tie-or-beat variant, which needs ceil(deficit/2) vote flips per adversary
@@ -17,8 +19,8 @@ instead of floor(deficit/2)+1.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
+from functools import lru_cache
 from math import lgamma, log, log10
 from typing import Iterable, Optional
 
@@ -137,6 +139,32 @@ def exact_dodgson_score(
     return best
 
 
+@lru_cache(maxsize=8)  # every m the default profile budget admits (2..9)
+def _swap_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(place, code, neighbor, pos) over the permutations of 1..m in lexicographic order.
+
+    ``code[v] = perms[v] @ place`` reads permutation v as a base-(m+1)
+    number, so the codes are sorted and ``searchsorted`` maps a code to its
+    id.  ``neighbor[v, j]`` is the id after swapping positions j and j+1 of
+    v, and ``pos[v, d-1]`` is the position of candidate d in v.
+    """
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):  # first entry a, then the perms of the rest renumbered
+        perms = np.concatenate([
+            np.column_stack((np.full(len(perms), a, dtype=np.int8), perms + (perms >= a)))
+            for a in range(1, k + 1)
+        ])
+    place = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    code = perms @ place
+    step = (perms[:, 1:] - perms[:, :-1]) * (place[:-1] - place[1:])  # code change per swap
+    neighbor = np.searchsorted(code, code[:, None] + step).astype(np.int32)
+    pos = np.empty_like(perms)
+    np.put_along_axis(pos, perms - 1, np.arange(m, dtype=np.int8), axis=1)
+    for table in (place, code, neighbor, pos):
+        table.setflags(write=False)  # shared by every caller through the cache
+    return place, code, neighbor, pos
+
+
 def bfs_swap_score(
     triple: DodgsonTriple,
     mode: ScoreMode = ScoreMode.STRICT,
@@ -147,83 +175,47 @@ def bfs_swap_score(
 
     Edges cover *every* adjacent transposition in every vote, not just the
     ones involving the candidate of interest, so the distance returned makes
-    no modeling assumption whatsoever.  Profiles are packed into single
-    integers (one permutation id per vote) and pairwise deficits are updated
-    incrementally, which keeps the search usable up to the profile budget.
+    no modeling assumption whatsoever.  A profile is one integer in mixed
+    radix m! (digit i is the permutation id of vote i), and each BFS level
+    is expanded and goal-tested as a whole with numpy.  Pairwise deficits
+    are summed from the votes' positions, not taken from
+    :func:`pairwise_stats`, so this oracle shares no scoring code with the
+    DP.
+
+    Memory: two bytes per profile, a visited and a fresh flag (2 MB at the
+    default budget of 10^6), plus the swap table of each of the last 8 values
+    of m, about 18 MB at m=9.
     """
     e, c = triple.election, triple.candidate
     m, n = e.m, e.n
     if m == 1:
         return 0
-    profile_count(m, n, profile_budget, "profile search")
+    size = profile_count(m, n, profile_budget, "profile search")
 
-    perms = list(itertools.permutations(range(1, m + 1)))
-    perm_id = {p: i for i, p in enumerate(perms)}
-    advs = [d for d in e.candidates if d != c]
+    place, code, neighbor, pos = _swap_table(m)
+    k = len(code)
+    weights = k ** np.arange(n, dtype=np.int64)
+    # sign[v, d-1] is +1 if permutation v puts d above c, else -1 (also for d = c)
+    sign = np.where(pos > pos[:, c - 1 : c], 1, -1).astype(np.min_scalar_type(-n))
+    limit = -1 if mode is ScoreMode.STRICT else 0  # largest deficit the goal allows
 
-    # neighbor[v][j]: permutation id after swapping positions j, j+1 of perm v.
-    # delta[v][j]: per-adversary deficit change of that swap (None if c not involved).
-    neighbor: list[list[int]] = []
-    delta: list[list[tuple[int, ...] | None]] = []
-    for p in perms:
-        nrow, drow = [], []
-        for j in range(m - 1):
-            q = list(p)
-            q[j], q[j + 1] = q[j + 1], q[j]
-            nrow.append(perm_id[tuple(q)])
-            if c == p[j]:  # c moved up past p[j+1]
-                drow.append(tuple(-2 if d == p[j + 1] else 0 for d in advs))
-            elif c == p[j + 1]:  # c moved down below p[j]
-                drow.append(tuple(2 if d == p[j] else 0 for d in advs))
-            else:
-                drow.append(None)
-        neighbor.append(nrow)
-        delta.append(drow)
-
-    shift = max(1, (len(perms) - 1).bit_length())
-    mask = (1 << shift) - 1
-    if mode is ScoreMode.STRICT:
-        goal = lambda defs: all(z < 0 for z in defs)
-    else:
-        goal = lambda defs: all(z <= 0 for z in defs)
-
-    start_stats = pairwise_stats(triple)
-    start_def = tuple(start_stats.deficit[d] for d in advs)
-    if goal(start_def):
-        return 0
-    start = 0
-    for i, vote in enumerate(e.votes):
-        start |= perm_id[vote] << (shift * i)
-
-    offsets = [shift * i for i in range(n)]
-    visited = {start}
-    frontier: list[tuple[int, tuple[int, ...]]] = [(start, start_def)]
+    start = int(np.searchsorted(code, e.ranks @ place) @ weights)
+    visited = np.zeros(size, dtype=bool)
+    fresh = np.zeros(size, dtype=bool)
+    visited[start] = True
+    frontier = np.array([start])
     depth = 0
-    while frontier:
+    while frontier.size:
+        deficits = sum(sign[frontier // w % k] for w in weights)
+        if (deficits.max(axis=1) <= limit).any():
+            return depth
         depth += 1
-        nxt: list[tuple[int, tuple[int, ...]]] = []
-        for prof, defs in frontier:
-            for off in offsets:
-                vid = (prof >> off) & mask
-                base = prof - (vid << off)
-                nrow = neighbor[vid]
-                drow = delta[vid]
-                for j in range(m - 1):
-                    q = base + (nrow[j] << off)
-                    if q in visited:
-                        continue
-                    visited.add(q)
-                    dl = drow[j]
-                    if dl is None:
-                        nxt.append((q, defs))
-                        continue
-                    nd = tuple(a + b for a, b in zip(defs, dl))
-                    if goal(nd):
-                        return depth
-                    nxt.append((q, nd))
-        if len(visited) > profile_budget:  # unreachable given the precheck; safety net
-            raise BudgetExceededError(f"visited {len(visited)} profiles, over budget")
-        frontier = nxt
+        for w in weights:  # one vote at a time keeps the index array at (f, m-1)
+            v = frontier // w % k
+            fresh[frontier[:, None] + (neighbor[v] - v[:, None]) * w] = True
+        np.greater(fresh, visited, out=fresh)  # fresh &= ~visited, with no temporary
+        frontier = np.flatnonzero(fresh)
+        visited |= fresh
     raise AssertionError("swap graph is connected; goal must be reachable")
 
 

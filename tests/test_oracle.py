@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +24,7 @@ from dodgson import (
     sample_election,
     sample_stream,
 )
+from dodgson import oracle
 from dodgson.oracle import profile_count
 
 STRICT = ScoreMode.STRICT
@@ -133,6 +135,20 @@ class TestBfsOracle:
         e = Election(10, tuple(tuple(range(1, 11)) for _ in range(1000)))
         with pytest.raises(BudgetExceededError, match=r"profile search.*10\^6559\.8.*10\^6553\.8"):
             bfs_swap_score(DodgsonTriple(e, 1))
+
+    def test_reads_ranks_not_votes(self):
+        e = Election.from_rows(4, np.array([[1, 2, 3, 4], [2, 4, 1, 3], [4, 3, 2, 1]]))
+        assert bfs_swap_score(DodgsonTriple(e, 1)) == 1  # 3 is just above 1 in vote 2
+        assert "votes" not in vars(e)
+
+    def test_independent_of_pairwise_stats(self, monkeypatch, cycle):
+        def broken(*args, **kwargs):
+            raise RuntimeError("pairwise_stats called")
+
+        monkeypatch.setattr(oracle, "pairwise_stats", broken)
+        for c in cycle.candidates:
+            assert bfs_swap_score(DodgsonTriple(cycle, c)) == 1
+            assert bfs_swap_score(DodgsonTriple(cycle, c), TIE) == 1
 
     def test_exhaustive_agreement_m3_n2(self):
         # every profile, every candidate, both modes: BFS == DP
