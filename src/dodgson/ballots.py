@@ -68,7 +68,12 @@ def _numbered_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_ballots(text: str) -> BallotFile:
-    """Parse ballot text into an Election plus candidate labels."""
+    """Parse ballot text into an Election plus candidate labels.
+
+    A canonical index file (ASCII digits and commas only, as
+    :func:`format_ballots` writes it) is read in one vectorised pass; every
+    other accepted form line by line, with the same results and errors.
+    """
     lines = _numbered_lines(text)
     if not lines:
         raise BallotParseError(1, "empty ballot file")
@@ -107,7 +112,8 @@ def parse_ballots(text: str) -> BallotFile:
     ranks = np.empty((n, m), dtype=np.int64)
     filled = 0
     if names is None:  # int() strips the whitespace around an entry itself
-        filled = _fill(ranks, body, lambda line: list(map(int, line.split(","))))
+        filled = _read_digits(ranks, body) or _fill(
+            ranks, body, lambda line: list(map(int, line.split(","))))
     if filled < n:  # a names header, or some entry is no integer index
         _check_entries(body, m)
         if names is None and not all(map(_is_int, _tokens(body[0][1]))):
@@ -130,6 +136,25 @@ def parse_ballots(text: str) -> BallotFile:
 
 def _tokens(line: str) -> list[str]:
     return [t.strip() for t in line.split(",")]
+
+
+def _read_digits(ranks: np.ndarray, body: list[tuple[int, str]]) -> int:
+    """Fill all rows in one pass if every entry is 1-18 ASCII digits, else return 0.
+
+    ``int()`` reads such entries alike and int64 holds them; each line has m entries.
+    """
+    text = ",".join([line for _, line in body])
+    if not text.isascii():
+        return 0
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    comma = data == ord(",")
+    if not (comma | ((data >= ord("0")) & (data <= ord("9")))).all():
+        return 0
+    length = np.diff(np.flatnonzero(comma), prepend=-1, append=len(data)) - 1
+    if not ((length >= 1) & (length <= 18)).all():
+        return 0
+    ranks[:] = np.fromstring(text, dtype=np.int64, sep=",").reshape(ranks.shape)
+    return len(ranks)
 
 
 def _fill(ranks: np.ndarray, body: list[tuple[int, str]], row_of) -> int:
@@ -184,8 +209,8 @@ def format_ballots(e: Election, labels: Optional[Sequence[str]] = None) -> str:
         out.append("names: " + ",".join(labels))
         names = (None, *labels)
     # one row per vote, most preferred first
-    out.extend(",".join([names[c] for c in row]) for row in e.ranks[:, ::-1].tolist())
-    return "\n".join(out) + "\n"
+    rows = np.array(names, dtype=object)[e.ranks[:, ::-1]].tolist()
+    return "\n".join([*out, *map(",".join, rows)]) + "\n"
 
 
 def _is_int(token: str) -> bool:

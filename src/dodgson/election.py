@@ -162,24 +162,23 @@ def condorcet_winner(e: Election) -> Optional[int]:
     return None
 
 
-def _positions(ranks: np.ndarray) -> np.ndarray:
-    # pos[i, c-1] = ascending position of candidate c in vote i
-    return np.argsort(ranks, axis=1)
-
-
 def preference_counts(ranks: np.ndarray) -> np.ndarray:
     """(m, m) matrix P with P[x-1, y-1] = #votes preferring x to y.
 
-    Vectorized equivalent of tallying every pairwise race; chunked so the
-    intermediate boolean block stays small for large profiles.
+    Vectorized equivalent of tallying every pairwise race.  Positions are
+    stored in the smallest unsigned dtype that holds m - 1, and votes are
+    compared in blocks of at most 10**6 cells and 65535 votes, so each
+    block's counts fit uint16 partial sums before they join the int64 total.
     """
     n, m = ranks.shape
-    pos = _positions(ranks)
+    # pos[i, c-1] = ascending position of candidate c in vote i
+    pos = np.argsort(ranks, axis=1).astype(np.min_scalar_type(m - 1))
     out = np.zeros((m, m), dtype=np.int64)
-    chunk = max(1, 1_000_000 // (m * m))
+    chunk = max(1, min(65535, 1_000_000 // (m * m)))
     for lo in range(0, n, chunk):
         block = pos[lo : lo + chunk]
-        out += (block[:, :, None] > block[:, None, :]).sum(axis=0)
+        beats = (block[:, :, None] > block[:, None, :]).view(np.uint8)
+        out += beats.sum(axis=0, dtype=np.uint16)
     return out
 
 

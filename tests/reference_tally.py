@@ -1,12 +1,15 @@
 """Brute-force reference implementations of the per-candidate tallies.
 
 These are the original one-vote-at-a-time versions of
-:func:`dodgson.election.pairwise_stats` and
+:func:`dodgson.election.pairwise_stats`,
+:func:`dodgson.election.preference_counts` and
 :func:`dodgson.bounds.pair_condition_holds`.  The array implementations in
 the package must agree with them on every election, candidate and adversary.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from dodgson.election import DodgsonTriple, PairwiseStats
 
@@ -27,6 +30,18 @@ def pairwise_stats(triple: DodgsonTriple) -> PairwiseStats:
         for j in range(i + 1, m):
             deficit[vote[j]] += 1
     return PairwiseStats(deficit, swaps)
+
+
+def preference_counts(ranks: np.ndarray) -> np.ndarray:
+    """(m, m) matrix P with P[x-1, y-1] = #votes preferring x to y, one vote at a time."""
+    m = ranks.shape[1]
+    counts = [[0] * m for _ in range(m)]
+    for vote in ranks.tolist():  # ascending: each candidate beats those before it
+        for i, x in enumerate(vote):
+            row = counts[x - 1]
+            for y in vote[:i]:
+                row[y - 1] += 1
+    return np.array(counts, dtype=np.int64).reshape(m, m)
 
 
 def pair_condition_holds(triple: DodgsonTriple, d: int) -> bool:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import reference_tally as ref
 from conftest import elections, triples
 from dodgson import DodgsonTriple, Election, condorcet_winner, pairwise_stats
 from dodgson import SamplerConfig, sample_election
@@ -227,3 +228,15 @@ class TestVectorizedCounts:
         whole = preference_counts(ranks)
         assert whole[0, 1] + whole[1, 0] == 5000
         assert (whole + whole.T + np.eye(m, dtype=int) * 5000 == 5000).all()
+        assert np.array_equal(whole, ref.preference_counts(ranks))
+
+    @pytest.mark.parametrize("m, n, identical", [
+        (1, 3, False),
+        (2, 65535, True), (2, 65536, True), (2, 70000, True),  # uint16 block sums
+        (255, 20, False), (256, 20, False), (257, 20, False),  # uint8 -> uint16 positions
+    ])
+    def test_preference_counts_dtype_and_chunk_edges(self, m, n, identical):
+        rng = np.random.default_rng(m)
+        votes = [rng.permutation(m) + 1 for _ in range(1 if identical else n)]
+        ranks = np.stack(votes * n if identical else votes).astype(np.int32)
+        assert np.array_equal(preference_counts(ranks), ref.preference_counts(ranks))

@@ -7,14 +7,16 @@ include the values where the bit-field width L changes (m = 1, 3/4, 7/8,
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_io as ref
-from dodgson import DodgsonTriple, Election
-from dodgson.ballots import format_ballots, parse_ballots
+from dodgson import DodgsonTriple, Election, SamplerConfig, sample_election
+from dodgson.ballots import BallotParseError, format_ballots, parse_ballots
 from dodgson.codec import decode, encode, read_dtbz, write_dtbz
 
 WIDTH_EDGES = (1, 3, 4, 7, 8, 255, 256)
@@ -39,7 +41,16 @@ def profiles(draw, max_small_n=6, max_large_n=3):
 # -- ballot text --------------------------------------------------------------
 
 ODD_TOKENS = ["0", "-1", "1", "2", "+1", "01", "1_0", "1.5", "", " ", "x", "zz",
-              "99999999999999999999", "n1", "n2", "#"]
+              "99999999999999999999", "n1", "n2", "#", "\u0663",  # Arabic-Indic 3
+              "000000000000000000001", "9223372036854775808", "18446744073709551617"]
+
+
+def parse_outcomes(text):
+    """Outcomes of both parsers; the array one must not warn (numpy may, on bad input)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(parse_ballots, text)
+    return got, outcome(ref.parse_ballots, text)
 
 
 @st.composite
@@ -88,8 +99,8 @@ def ballot_texts(draw):
 @given(ballot_texts())
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_reference(text):
-    got = outcome(parse_ballots, text)
-    assert got == outcome(ref.parse_ballots, text)
+    got, want = parse_outcomes(text)
+    assert got == want
     if got[0] == "ok":
         bf = got[1]
         assert format_ballots(bf.election, bf.labels) == ref.format_ballots(
@@ -99,7 +110,30 @@ def test_parse_matches_reference(text):
 @given(st.text(alphabet="0123,ab \n#:-", max_size=60).map(lambda s: "3 2\n" + s))
 @settings(max_examples=300, deadline=None)
 def test_parse_matches_reference_on_garbage(text):
-    assert outcome(parse_ballots, text) == outcome(ref.parse_ballots, text)
+    got, want = parse_outcomes(text)
+    assert got == want
+
+
+def canonical_lines(m, n):
+    """A sampled profile as format_ballots writes it: ASCII digits and commas only."""
+    return format_ballots(sample_election(SamplerConfig(m, n, seed=m + n))).splitlines()
+
+
+@pytest.mark.parametrize("m, n", [(100, 2000), (1, 1), (1, 1000)])
+def test_canonical_file_matches_reference(m, n):
+    got, want = parse_outcomes("\n".join(canonical_lines(m, n)) + "\n")
+    assert got[0] == "ok"
+    assert got == want
+
+
+@pytest.mark.parametrize("m, n", [(100, 2000), (1, 1000)])
+@pytest.mark.parametrize("last", ["0", "m+1"])
+def test_canonical_file_with_bad_last_entry_matches_reference(m, n, last):
+    lines = canonical_lines(m, n)
+    lines[-1] = ",".join(lines[-1].split(",")[:-1] + ["0" if last == "0" else str(m + 1)])
+    got, want = parse_outcomes("\n".join(lines) + "\n")
+    assert got[0] is BallotParseError and got[2] == n + 1
+    assert got == want
 
 
 @given(profiles(), st.sampled_from(["none", "default", "names", "short"]))
