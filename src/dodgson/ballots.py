@@ -144,17 +144,28 @@ def _read_digits(ranks: np.ndarray, body: list[tuple[int, str]]) -> int:
     ``int()`` reads such entries alike and int64 holds them; each line has m entries.
     """
     text = ",".join([line for _, line in body])
-    if not text.isascii():
-        return 0
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    comma = data == ord(",")
-    if not (comma | ((data >= ord("0")) & (data <= ord("9")))).all():
-        return 0
-    length = np.diff(np.flatnonzero(comma), prepend=-1, append=len(data)) - 1
-    if not ((length >= 1) & (length <= 18)).all():
+    if not (text.isascii()
+            and _short_digit_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8))):
         return 0
     ranks[:] = np.fromstring(text, dtype=np.int64, sep=",").reshape(ranks.shape)
     return len(ranks)
+
+
+def _short_digit_entries(data: np.ndarray) -> bool:
+    """Whether the bytes are comma-separated entries of 1-18 ASCII digits each.
+
+    Its scratch is uint8 and bool arrays, a few bytes per byte of text, all
+    freed before the caller converts the text.
+    """
+    comma = data == ord(",")
+    if not (comma | ((data >= ord("0")) & (data <= ord("9")))).all():
+        return False
+    if comma[0] or comma[-1] or (comma[:-1] & comma[1:]).any():  # an empty entry
+        return False
+    run = ~comma  # run[i]: the w bytes from i on are all digits; w = 1, 2, 4, 8, 16, 19
+    for step in (1, 2, 4, 8, 3):
+        run = run[:-step] & run[step:]
+    return not run.any()  # no entry of 19 or more digits
 
 
 def _fill(ranks: np.ndarray, body: list[tuple[int, str]], row_of) -> int:

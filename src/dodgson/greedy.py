@@ -115,11 +115,7 @@ def _score_all(pref, adj) -> list[GreedyScoreResult]:
 
 def stats_from_matrices(pref, adj, c: int) -> PairwiseStats:
     """PairwiseStats for candidate c out of full preference/adjacency matrices."""
-    m = pref.shape[0]
-    deficit = {
-        d: int(pref[d - 1, c - 1]) - int(pref[c - 1, d - 1])
-        for d in range(1, m + 1)
-        if d != c
-    }
-    swaps = {d: int(adj[c - 1, d - 1]) for d in range(1, m + 1) if d != c}
-    return PairwiseStats(deficit, swaps)
+    against, beats, above = pref[:, c - 1].tolist(), pref[c - 1].tolist(), adj[c - 1].tolist()
+    others = [d for d in range(1, pref.shape[0] + 1) if d != c]
+    return PairwiseStats({d: against[d - 1] - beats[d - 1] for d in others},
+                         {d: above[d - 1] for d in others})

@@ -2,16 +2,19 @@
 
 These are the original one-vote-at-a-time versions of
 :func:`dodgson.election.pairwise_stats`,
-:func:`dodgson.election.preference_counts` and
+:func:`dodgson.election.preference_counts`,
+:func:`dodgson.election.condorcet_winner` and
 :func:`dodgson.bounds.pair_condition_holds`.  The array implementations in
 the package must agree with them on every election, candidate and adversary.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from dodgson.election import DodgsonTriple, PairwiseStats
+from dodgson.election import DodgsonTriple, Election, PairwiseStats
 
 
 def pairwise_stats(triple: DodgsonTriple) -> PairwiseStats:
@@ -42,6 +45,15 @@ def preference_counts(ranks: np.ndarray) -> np.ndarray:
             for y in vote[:i]:
                 row[y - 1] += 1
     return np.array(counts, dtype=np.int64).reshape(m, m)
+
+
+def condorcet_winner(e: Election) -> Optional[int]:
+    """The candidate that more than half of the votes put above each other one."""
+    for c in e.candidates:
+        if all(2 * sum(vote.index(c) > vote.index(d) for vote in e.votes) > e.n
+               for d in e.candidates if d != c):
+            return c
+    return None
 
 
 def pair_condition_holds(triple: DodgsonTriple, d: int) -> bool:

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from dodgson import Election
-from dodgson.ballots import BallotParseError, format_ballots, parse_ballots
+from dodgson.ballots import BallotParseError, _short_digit_entries, format_ballots, parse_ballots
 
 
 class TestParse:
@@ -108,6 +109,22 @@ class TestParseErrors:
         assert line == 3 and "out of range" in msg
         line, msg = self.line_of("2 1\n99999999999999999999,1\n")
         assert line == 2 and "out of range" in msg
+
+
+def short_digit_entries(text: str) -> bool:
+    return _short_digit_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("width", range(1, 26))
+def test_one_pass_route_takes_entries_of_1_to_18_digits(width):
+    entry = "7" * width
+    for text in (entry, f"1,{entry}", f"{entry},2", f"1,{entry},2", f"1,2,{entry},3,4"):
+        assert short_digit_entries(text) is (width <= 18)
+
+
+@pytest.mark.parametrize("text", [",1", "1,", "1,,2", ",", "1,-2", "1, 2", "+1", "1.5"])
+def test_one_pass_route_refuses_empty_or_non_digit_entries(text):
+    assert short_digit_entries(text) is False
 
 
 class TestFormat:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dodgson import cli
 from dodgson.cli import main
 
 SIXTY_FORTY = "4 100\n" + "d,c,b,a\n" * 60 + "b,a,d,c\n" * 40
@@ -202,6 +203,43 @@ class TestCodecCommands:
         rc = main(["decode", str(bad)])
         assert rc == 2
         assert "underflow" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, monkeypatch, cycle_file):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["winners", cycle_file]) == 0
+        assert built == [1]
+
+    def test_no_option_leaks_between_calls(self, capsys, tmp_path, cycle_file):
+        report = str(tmp_path / "r.json")
+        argv = ["oracle", cycle_file, "-c", "a", "--check-bfs", "--mode", "tie-or-beat"]
+        rc, out = run_json(capsys, argv)
+        assert rc == 0 and out == {"score": 1, "mode": "tie-or-beat", "bfs_agrees": True}
+        rc, out = run_json(capsys, ["experiment", "-m", "2", "-n", "3", "--trials", "2",
+                                    "-o", report])
+        assert rc == 0 and out["trials"] == 2
+        rc, out = run_json(capsys, ["oracle", cycle_file, "-c", "a"])
+        assert rc == 0 and out == {"score": 1, "mode": "strict"}
+        rc, out = run_json(capsys, ["experiment", "-m", "2", "-n", "3", "--trials", "2"])
+        assert rc == 0 and out["seed"] == 0
+        assert json.load(open(report))["trials"] == 2
+
+    def test_usage_errors_and_version_after_a_call(self, capsys, cycle_file):
+        assert main(["winners", cycle_file]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["winners", cycle_file, "-c", "a"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        rc, out = run_json(capsys, ["winners", cycle_file])
+        assert rc == 0 and out["winners"] == ["c", "b", "a"]
 
 
 def test_module_entry_point(tmp_path):

@@ -99,6 +99,18 @@ class TestStoredForm:
         decoded = decode(encode(DodgsonTriple(e, 1))).election
         assert "votes" not in vars(decoded)
         assert parsed == decoded == e
+        for built in (e, parsed, decoded):
+            assert "positions" not in vars(built)
+
+    def test_positions_derived_on_first_read(self):
+        e = Election.from_rows(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
+        twin = Election(3, ((2, 1, 3), (1, 3, 2)))
+        assert e.positions.tolist() == [[1, 0, 2], [0, 2, 1]]
+        assert e.positions.dtype == np.uint8
+        assert vars(e)["positions"] is e.positions  # cached
+        with pytest.raises(ValueError):
+            e.positions[0, 0] = 2
+        assert e == twin and hash(e) == hash(twin)  # the table takes no part
 
     def test_votes_derived_on_first_read(self):
         e = Election.from_rows(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
