@@ -227,10 +227,8 @@ def run_trials(
             }
             bad = any(exact[c] != results[c - 1].score for c in exact)
             if all(definite):
-                greedy_set = frozenset(
-                    c for c in e.candidates
-                    if results[c - 1].score == min(r.score for r in results)
-                )
+                best = min(r.score for r in results)
+                greedy_set = frozenset(c for c in e.candidates if results[c - 1].score == best)
                 bad = bad or greedy_set != dodgson_winners(
                     e, ScoreMode.STRICT, state_budget=oracle_budget
                 )

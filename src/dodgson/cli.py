@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dp-budget", type=int, default=10**8,
                    help="max DP states (default 1e8; up to 12 bytes of memory each)")
     p.add_argument("--bfs-budget", type=int, default=10**6,
-                   help="max profiles for --check-bfs (default 1e6; 2 bytes of memory "
-                        "each, plus a swap table of about 18 MB at m=9)")
+                   help="max (m!)^n profiles for --check-bfs (default 1e6); its table "
+                        "has at most one 8-byte cell per profile")
 
     p = sub.add_parser("generate", help="sample a uniform random election")
     p.add_argument("-m", type=int, required=True, help="candidate count")

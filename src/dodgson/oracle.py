@@ -6,11 +6,12 @@ Two independent routes:
   (raising the candidate some number of adjacent positions within a vote)
   on a dense numpy table; exact winners at m=8, n=40 take well under a
   second.  It models the search space as upward moves of the candidate only.
-* :func:`bfs_swap_score` -- assumption-free breadth-first search over whole
-  vote profiles, one adjacent swap (any pair, in any vote) per edge, one
-  numpy step per BFS level.  Feasible while the (m!)^n profiles fit its
-  budget (10^6 by default: up to m=9 with one vote, m=6 with two, m=2 with
-  19); exists to cross-validate the DP's model.
+* :func:`bfs_swap_score` -- assumption-free: the least adjacent swaps (any
+  pair, in any vote) over whole profiles, as a search of all (m!)^n
+  profiles would find it, computed by a DP over per-vote inversion costs.
+  Admits only shapes whose (m!)^n profiles fit its budget (10^6 by default:
+  up to m=9 with one vote, m=6 with two, m=2 with 19); exists to
+  cross-validate the DP's model.
 
 Both support the strict goal (beat every other candidate head-on) and the
 tie-or-beat variant, which needs ceil(deficit/2) vote flips per adversary
@@ -20,7 +21,6 @@ instead of floor(deficit/2)+1.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from math import lgamma, log, log10
 from typing import Iterable, Optional
 
@@ -139,30 +139,26 @@ def exact_dodgson_score(
     return best
 
 
-@lru_cache(maxsize=8)  # every m the default profile budget admits (2..9)
-def _swap_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(place, code, neighbor, pos) over the permutations of 1..m in lexicographic order.
+def _above_set_costs(ranks: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least swaps per vote that leave exactly a given set of adversaries above ``c``.
 
-    ``code[v] = perms[v] @ place`` reads permutation v as a base-(m+1)
-    number, so the codes are sorted and ``searchsorted`` maps a code to its
-    id.  ``neighbor[v, j]`` is the id after swapping positions j and j+1 of
-    v, and ``pos[v, d-1]`` is the position of candidate d in v.
+    Returns ``(subsets, cost)``: subset s holds adversary j (the j-th
+    candidate other than c) when bit j of s, ``subsets[j, s]``, is set, and
+    ``cost[i, s]`` is for vote i of the ascending ``(n, m)`` ``ranks``.
+    Any ranking with above-set S puts S above c above the rest, so it
+    disagrees with the vote on the symmetric difference of S and the vote's
+    above-set A, and on each pair (x not in S, s in S) with x above s in the
+    vote.  Keeping both parts in the vote's order disagrees on nothing else:
+    |A| + sum over s in S of (m-1 - position of s - [s in A]) - |S|(|S|-1)/2.
     """
-    perms = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, m + 1):  # first entry a, then the perms of the rest renumbered
-        perms = np.concatenate([
-            np.column_stack((np.full(len(perms), a, dtype=np.int8), perms + (perms >= a)))
-            for a in range(1, k + 1)
-        ])
-    place = (m + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    code = perms @ place
-    step = (perms[:, 1:] - perms[:, :-1]) * (place[:-1] - place[1:])  # code change per swap
-    neighbor = np.searchsorted(code, code[:, None] + step).astype(np.int32)
-    pos = np.empty_like(perms)
-    np.put_along_axis(pos, perms - 1, np.arange(m, dtype=np.int8), axis=1)
-    for table in (place, code, neighbor, pos):
-        table.setflags(write=False)  # shared by every caller through the cache
-    return place, code, neighbor, pos
+    m = ranks.shape[1]
+    pos = np.argsort(ranks, axis=1)  # pos[i, x-1]: position of x in vote i, 0 at the bottom
+    adv = np.delete(pos, c - 1, axis=1)
+    above = adv > pos[:, c - 1 : c]
+    subsets = (np.arange(2 ** (m - 1)) >> np.arange(m - 1)[:, None]) & 1
+    size = subsets.sum(axis=0)
+    cost = above.sum(axis=1)[:, None] + (m - 1 - adv - above) @ subsets - size * (size - 1) // 2
+    return subsets, cost
 
 
 def bfs_swap_score(
@@ -171,52 +167,44 @@ def bfs_swap_score(
     *,
     profile_budget: int = DEFAULT_BFS_PROFILE_BUDGET,
 ) -> int:
-    """Reference oracle: BFS over vote profiles, one adjacent swap per edge.
+    """Reference oracle: least adjacent swaps, any pair in any vote, to a winning profile.
 
-    Edges cover *every* adjacent transposition in every vote, not just the
-    ones involving the candidate of interest, so the distance returned makes
-    no modeling assumption whatsoever.  A profile is one integer in mixed
-    radix m! (digit i is the permutation id of vote i), and each BFS level
-    is expanded and goal-tested as a whole with numpy.  Pairwise deficits
-    are summed from the votes' positions, not taken from
-    :func:`pairwise_stats`, so this oracle shares no scoring code with the
-    DP.
+    This is the distance a search of the profile swap graph (Bartholdi,
+    Tovey & Trick 1989) would find, computed without visiting the (m!)^n
+    profiles.  The graph is the Cartesian product of the per-vote graphs,
+    so a distance is a sum of per-vote inversion counts, and whether a
+    profile wins depends on each vote only through its set of adversaries
+    above c, whose least cost has a closed form (:func:`_above_set_costs`).
+    So a min-plus DP over votes keeps the least cost per count, for each
+    adversary, of votes with it above c; a count over the goal's limit
+    ((n-1)//2 strict, n//2 tie-or-beat) can never win and has no cell.
+    ``source`` maps a cell and subset to the cell it came from, or to -1, an
+    always-infinite cell.  Positions come from argsorting ``ranks``, not
+    from :func:`pairwise_stats`, so this oracle shares no scoring code with
+    the DP.
 
-    Memory: two bytes per profile, a visited and a fresh flag (2 MB at the
-    default budget of 10^6), plus the swap table of each of the last 8 values
-    of m, about 18 MB at m=9.
+    Memory: (2*(limit+1))^(m-1) eight-byte cells in ``source`` and in each
+    vote's gather, never more than the (m!)^n that ``profile_budget``
+    admits, since 2*(limit+1) <= 2^n and 2^(m-1) <= m!.
     """
     e, c = triple.election, triple.candidate
     m, n = e.m, e.n
     if m == 1:
         return 0
-    size = profile_count(m, n, profile_budget, "profile search")
+    profile_count(m, n, profile_budget, "profile search")
 
-    place, code, neighbor, pos = _swap_table(m)
-    k = len(code)
-    weights = k ** np.arange(n, dtype=np.int64)
-    # sign[v, d-1] is +1 if permutation v puts d above c, else -1 (also for d = c)
-    sign = np.where(pos > pos[:, c - 1 : c], 1, -1).astype(np.min_scalar_type(-n))
-    limit = -1 if mode is ScoreMode.STRICT else 0  # largest deficit the goal allows
-
-    start = int(np.searchsorted(code, e.ranks @ place) @ weights)
-    visited = np.zeros(size, dtype=bool)
-    fresh = np.zeros(size, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start])
-    depth = 0
-    while frontier.size:
-        deficits = sum(sign[frontier // w % k] for w in weights)
-        if (deficits.max(axis=1) <= limit).any():
-            return depth
-        depth += 1
-        for w in weights:  # one vote at a time keeps the index array at (f, m-1)
-            v = frontier // w % k
-            fresh[frontier[:, None] + (neighbor[v] - v[:, None]) * w] = True
-        np.greater(fresh, visited, out=fresh)  # fresh &= ~visited, with no temporary
-        frontier = np.flatnonzero(fresh)
-        visited |= fresh
-    raise AssertionError("swap graph is connected; goal must be reachable")
+    subsets, cost = _above_set_costs(e.ranks, c)
+    k = (n - 1) // 2 + 1 if mode is ScoreMode.STRICT else n // 2 + 1  # counts 0..limit
+    place = k ** np.arange(m - 1)  # adversary j's count is digit j of a cell index
+    cells = np.arange(k ** (m - 1))
+    counts = cells // place[:, None] % k
+    fits = (counts[:, :, None] >= subsets[:, None, :]).all(axis=0)  # no count below zero
+    source = np.where(fits, cells[:, None] - place @ subsets, -1)
+    table = np.full(len(cells) + 1, np.inf)
+    table[0] = 0
+    for row in cost:
+        table[:-1] = (table[source] + row).min(axis=1)
+    return int(table.min())
 
 
 def dodgson_winners(

@@ -1,7 +1,8 @@
 """Both exact oracles against the original implementations in reference_oracle.
 
 ``exact_dodgson_score`` (dense-table lift DP) and ``bfs_swap_score``
-(level-synchronous numpy BFS) must equal their references on every
+(swap-distance DP over per-vote inversion costs) must equal their
+references (a dict DP and a literal profile BFS) on every
 candidate and in both modes, and raise the same ``BudgetExceededError``
 message when the search space is over the budget.  The DP budget below
 bounds each hypothesis example; the budget cases check that both sides
