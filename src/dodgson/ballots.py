@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .election import Election, invalid_votes
+from .election import Election, _block_rows, invalid_votes
 
 
 class BallotParseError(ValueError):
@@ -108,12 +108,13 @@ def parse_ballots(text: str) -> BallotFile:
         _check_entries(body, m)  # raises
 
     # Sized from n and m only now that the text holds n lines of m entries.
-    # int64, so that an index too large for it raises rather than wraps.
-    ranks = np.empty((n, m), dtype=np.int64)
+    ranks = np.empty((n, m), dtype=np.int32)
     filled = 0
     if names is None:  # int() strips the whitespace around an entry itself
-        filled = _read_digits(ranks, body) or _fill(
-            ranks, body, lambda line: list(map(int, line.split(","))))
+        filled = _read_digits(ranks, body)
+        # an index outside 1..m is stored as 0, which no dtype wraps into range
+        filled = _fill(ranks, body, lambda line: [
+            i if 0 < i <= m else 0 for i in map(int, line.split(","))], filled)
     if filled < n:  # a names header, or some entry is no integer index
         _check_entries(body, m)
         if names is None and not all(map(_is_int, _tokens(body[0][1]))):
@@ -139,16 +140,23 @@ def _tokens(line: str) -> list[str]:
 
 
 def _read_digits(ranks: np.ndarray, body: list[tuple[int, str]]) -> int:
-    """Fill all rows in one pass if every entry is 1-18 ASCII digits, else return 0.
+    """Fill rows one block at a time while every entry is 1-18 ASCII digits.
 
-    ``int()`` reads such entries alike and int64 holds them; each line has m entries.
+    Returns the number of rows filled: all of them, or those before the first
+    block with some other entry.  ``int()`` reads such entries alike and
+    int64 holds them; each line has m entries.  Values are clipped to 0..m+1
+    before they narrow to ``ranks``' dtype, so none wraps into range.
     """
-    text = ",".join([line for _, line in body])
-    if not (text.isascii()
-            and _short_digit_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8))):
-        return 0
-    ranks[:] = np.fromstring(text, dtype=np.int64, sep=",").reshape(ranks.shape)
-    return len(ranks)
+    n, m = ranks.shape
+    step = _block_rows(m)
+    for lo in range(0, n, step):
+        text = ",".join([line for _, line in body[lo : lo + step]])
+        if not (text.isascii()
+                and _short_digit_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8))):
+            return lo
+        block = np.fromstring(text, dtype=np.int64, sep=",")
+        ranks[lo : lo + step] = block.clip(0, m + 1, out=block).reshape(-1, m)
+    return n
 
 
 def _short_digit_entries(data: np.ndarray) -> bool:
@@ -168,15 +176,15 @@ def _short_digit_entries(data: np.ndarray) -> bool:
     return not run.any()  # no entry of 19 or more digits
 
 
-def _fill(ranks: np.ndarray, body: list[tuple[int, str]], row_of) -> int:
-    """Write ``row_of(line)`` into successive rows; stop at the first line it rejects.
+def _fill(ranks: np.ndarray, body: list[tuple[int, str]], row_of, start: int = 0) -> int:
+    """Write ``row_of(line)`` into rows from ``start`` on; stop at the first line it rejects.
 
     Returns the number of rows filled.
     """
-    for i, (_, line) in enumerate(body):
+    for i in range(start, len(body)):
         try:
-            ranks[i] = row_of(line)
-        except (KeyError, ValueError, OverflowError):
+            ranks[i] = row_of(body[i][1])
+        except (KeyError, ValueError):
             return i
     return len(body)
 
@@ -219,9 +227,11 @@ def format_ballots(e: Election, labels: Optional[Sequence[str]] = None) -> str:
             raise ValueError(f"need {e.m} labels, got {len(labels)}")
         out.append("names: " + ",".join(labels))
         names = (None, *labels)
-    # one row per vote, most preferred first
-    rows = np.array(names, dtype=object)[e.ranks[:, ::-1]].tolist()
-    return "\n".join([*out, *map(",".join, rows)]) + "\n"
+    table = np.array(names, dtype=object)
+    step = _block_rows(e.m)
+    for lo in range(0, e.n, step):  # one row per vote, most preferred first
+        out.append("\n".join(map(",".join, table[e.ranks[lo : lo + step, ::-1]].tolist())))
+    return "\n".join([*out, ""])
 
 
 def _is_int(token: str) -> bool:

@@ -128,6 +128,7 @@ def cmd_decode(args) -> int:
     packed = args.packed or str(args.bitfile).endswith(".dtbz")
     bits = read_dtbz(args.bitfile) if packed else read_dtb(args.bitfile)
     triple = decode(bits)
+    del bits  # freed before the ballot text is built
     e = triple.election
     summary = {"m": e.m, "n": e.n, "candidate": triple.candidate}
     if args.output:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .election import DodgsonTriple, Election, invalid_votes
+from .election import _BLOCK_CELLS, DodgsonTriple, Election, _block_rows, invalid_votes
 
 _DTB_WRAP = 64
 
@@ -52,17 +52,21 @@ def encode(triple: DodgsonTriple) -> str:
     out = np.empty(len(header) + fields.size * w, dtype=np.uint8)
     out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
     votes = out[len(header) :].reshape(-1, w)
-    for k in range(w):  # column k holds bit w-1-k of every field
-        np.bitwise_and(fields >> (w - 1 - k), 1, out=votes[:, k], casting="unsafe")
-    votes += ord("0")
-    return out.tobytes().decode("ascii")
+    step = _block_rows(e.m) * e.m
+    for lo in range(0, fields.size, step):  # whole votes at a time
+        block = votes[lo : lo + step]
+        for k in range(w):  # column k holds bit w-1-k of every field
+            np.bitwise_and(fields[lo : lo + step] >> (w - 1 - k), 1, out=block[:, k],
+                           casting="unsafe")
+        block += ord("0")
+    return str(out, "ascii")  # one copy, where tobytes().decode() makes two
 
 
 def decode(bits: str) -> DodgsonTriple:
     """Exact inverse of :func:`encode`; rejects anything non-canonical."""
     if not bits:
         raise BitDecodeError("empty bit string")
-    chars = _bit_chars(bits, "not a bit string")
+    _check_bits(bits, "not a bit string")
 
     w = bits.find("0")
     if w < 0:
@@ -100,12 +104,17 @@ def decode(bits: str) -> DodgsonTriple:
             f"trailing bits: {rest} vote bits is not a multiple of {vote_bits}"
         )
 
-    fields = chars[pos:].reshape(-1, w)
-    ranks = np.zeros(len(fields), dtype=np.int64)
-    for k in range(w):
-        ranks <<= 1
-        ranks |= fields[:, k] & 1  # '0' is 0x30, '1' is 0x31
-    ranks = ranks.reshape(-1, m)
+    fields = np.empty(rest // w, dtype=np.int32)
+    step = _block_rows(m) * m
+    for lo in range(0, len(fields), step):  # whole votes at a time
+        block = fields[lo : lo + step]
+        start = pos + lo * w
+        chars = _ascii(bits[start : start + block.size * w]).reshape(-1, w)
+        block[:] = 0
+        for k in range(w):
+            block <<= 1
+            block |= chars[:, k] & 1  # '0' is 0x30, '1' is 0x31
+    ranks = fields.reshape(-1, m)
     try:
         return DodgsonTriple(Election.from_rows(m, ranks), c)
     except ValueError:  # some vote is no permutation of 1..m
@@ -115,12 +124,20 @@ def decode(bits: str) -> DodgsonTriple:
     raise BitDecodeError(f"vote is not a permutation of 1..{m}: {vote!r}")
 
 
-def _bit_chars(bits: str, what: str) -> np.ndarray:
-    """The characters of ``bits`` as a uint8 array; rejects any but '0' and '1'."""
-    chars = np.frombuffer(bits.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if ((chars | 1) != ord("1")).any():  # only '0' (0x30) and '1' (0x31) pass
+def _check_bits(bits: str, what: str) -> None:
+    """Reject ``bits`` if it holds any character but '0' and '1', naming every such one.
+
+    Checked one slice of ``_BLOCK_CELLS`` characters at a time.
+    """
+    if not (bits.isascii()  # then only '0' (0x30) and '1' (0x31) pass
+            and all(((_ascii(bits[lo : lo + _BLOCK_CELLS]) | 1) == ord("1")).all()
+                    for lo in range(0, len(bits), _BLOCK_CELLS))):
         raise BitDecodeError(f"{what}: unexpected {sorted(set(bits) - {'0', '1'})!r}")
-    return chars
+
+
+def _ascii(text: str) -> np.ndarray:
+    """The bytes of an ASCII string as a uint8 array."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 # -- file formats -----------------------------------------------------------
@@ -136,7 +153,7 @@ def write_dtb(bits: str, path) -> None:
 def read_dtb(path) -> str:
     text = Path(path).read_text()
     bits = "".join(text.split())
-    _bit_chars(bits, "not a bit file")
+    _check_bits(bits, "not a bit file")
     if not bits:
         raise BitDecodeError("empty bit file")
     return bits
@@ -144,8 +161,14 @@ def read_dtb(path) -> str:
 
 def write_dtbz(bits: str, path) -> None:
     """Packed bit file: u64 big-endian bit count, then zero-padded bytes."""
-    packed = np.packbits(_bit_chars(bits, "not a bit string") & 1)
-    Path(path).write_bytes(struct.pack(">Q", len(bits)) + packed.tobytes())
+    _check_bits(bits, "not a bit string")
+    packed = np.empty((len(bits) + 7) // 8, dtype=np.uint8)
+    for lo in range(0, len(bits), _BLOCK_CELLS):  # whole bytes at a time
+        packed[lo // 8 : (lo + _BLOCK_CELLS) // 8] = np.packbits(
+            _ascii(bits[lo : lo + _BLOCK_CELLS]) & 1)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">Q", len(bits)))
+        fh.write(packed)
 
 
 def read_dtbz(path) -> str:
@@ -153,15 +176,17 @@ def read_dtbz(path) -> str:
     if len(raw) < 8:
         raise BitDecodeError("underflow: missing 64-bit length header")
     (nbits,) = struct.unpack(">Q", raw[:8])
-    body = raw[8:]
+    body = np.frombuffer(raw, dtype=np.uint8, offset=8)
     expected = (nbits + 7) // 8
     if len(body) != expected:
         raise BitDecodeError(
             f"trailing bits: payload holds {len(body)} bytes, header implies {expected}"
         )
-    chars = np.unpackbits(np.frombuffer(body, dtype=np.uint8))
+    chars = np.empty(8 * len(body), dtype=np.uint8)
+    step = _BLOCK_CELLS // 8
+    for lo in range(0, len(body), step):  # _BLOCK_CELLS bits at a time
+        chars[8 * lo : 8 * (lo + step)] = np.unpackbits(body[lo : lo + step])
     if chars[nbits:].any():
         raise BitDecodeError("trailing bits: nonzero padding in final byte")
-    chars = chars[:nbits]
     chars += ord("0")
-    return chars.tobytes().decode("ascii")
+    return str(chars[:nbits], "ascii")  # one copy, where tobytes().decode() makes two

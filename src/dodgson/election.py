@@ -16,6 +16,12 @@ import numpy as np
 
 Vote = tuple[int, ...]
 
+# Cells that one step of a blocked pass over a profile handles (ballot entries,
+# tally cells, or the fields or bits of its encoding), so that the scratch of
+# parsing, formatting, tallying and the bit codec stays near a fixed size
+# however many votes there are.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class Election:
@@ -59,7 +65,7 @@ class Election:
         Built from ``ranks`` on first read, in the smallest unsigned dtype
         that holds m - 1, so it costs n*m bytes up to m = 256.
         """
-        pos = np.argsort(self.ranks, axis=1).astype(np.min_scalar_type(self.m - 1))
+        pos = _positions(self.ranks)
         pos.setflags(write=False)
         return pos
 
@@ -89,8 +95,32 @@ def invalid_votes(m: int, ranks: np.ndarray) -> np.ndarray:
     """Indices of the rows of an (n, m) integer array that are not permutations of 1..m.
 
     A row is a permutation exactly when it sorts to 1..m, which also bounds its range.
+    Rows are sorted one block at a time.
     """
-    return np.flatnonzero((np.sort(ranks, axis=1) != np.arange(1, m + 1)).any(axis=1))
+    target = np.arange(1, m + 1)
+    step = _block_rows(m)
+    bad = [lo + np.flatnonzero((np.sort(ranks[lo : lo + step], axis=1) != target).any(axis=1))
+           for lo in range(0, len(ranks), step)]
+    return np.concatenate(bad) if bad else np.empty(0, dtype=np.intp)
+
+
+def _block_rows(m: int) -> int:
+    """Rows of m cells in one block of a blocked whole-profile pass (at least one)."""
+    return max(1, _BLOCK_CELLS // m)
+
+
+def _positions(ranks: np.ndarray) -> np.ndarray:
+    """(n, m) table with each candidate's ascending position in each vote.
+
+    Its dtype is the smallest unsigned one that holds m - 1; rows are
+    argsorted one block at a time, so the int64 argsort scratch stays small.
+    """
+    n, m = ranks.shape
+    pos = np.empty((n, m), dtype=np.min_scalar_type(m - 1))
+    step = _block_rows(m)
+    for lo in range(0, n, step):
+        pos[lo : lo + step] = np.argsort(ranks[lo : lo + step], axis=1)
+    return pos
 
 
 def _not_a_permutation(m: int, i: int, vote) -> ValueError:
@@ -181,28 +211,32 @@ def condorcet_winner(e: Election) -> Optional[int]:
 def preference_counts(ranks: np.ndarray) -> np.ndarray:
     """(m, m) matrix P with P[x-1, y-1] = #votes preferring x to y.
 
-    Vectorized equivalent of tallying every pairwise race.  Positions are
-    stored in the smallest unsigned dtype that holds m - 1, and votes are
-    compared in blocks of at most 10**6 cells and 65535 votes, so each
-    block's counts fit uint16 partial sums before they join the int64 total.
+    Vectorized equivalent of tallying every pairwise race.  Votes are turned
+    into positions (see :func:`_positions`) and compared in blocks of at most
+    10**6 cells and 65535 votes, so each block's counts fit uint16 partial
+    sums before they join the int64 total.
     """
     n, m = ranks.shape
-    # pos[i, c-1] = ascending position of candidate c in vote i
-    pos = np.argsort(ranks, axis=1).astype(np.min_scalar_type(m - 1))
     out = np.zeros((m, m), dtype=np.int64)
     chunk = max(1, min(65535, 1_000_000 // (m * m)))
     for lo in range(0, n, chunk):
-        block = pos[lo : lo + chunk]
+        block = _positions(ranks[lo : lo + chunk])  # block[i, c-1]: position of c in vote i
         beats = (block[:, :, None] > block[:, None, :]).view(np.uint8)
         out += beats.sum(axis=0, dtype=np.uint16)
     return out
 
 
 def adjacency_counts(ranks: np.ndarray) -> np.ndarray:
-    """(m, m) matrix A with A[x-1, y-1] = #votes where y sits immediately above x."""
+    """(m, m) matrix A with A[x-1, y-1] = #votes where y sits immediately above x.
+
+    Counted one row block at a time: ``bincount`` widens its input to intp.
+    """
     n, m = ranks.shape
-    if m == 1:
-        return np.zeros((1, 1), dtype=np.int64)
-    # stay in the input's small dtype; codes are < m*m
-    codes = (ranks[:, :-1] - 1) * ranks.dtype.type(m) + (ranks[:, 1:] - 1)
-    return np.bincount(codes.ravel(), minlength=m * m).reshape(m, m)
+    out = np.zeros(m * m, dtype=np.int64)
+    step = _block_rows(m)
+    for lo in range(0, n, step):
+        block = ranks[lo : lo + step]
+        # stay in the input's small dtype; codes are < m*m
+        codes = (block[:, :-1] - 1) * ranks.dtype.type(m) + (block[:, 1:] - 1)
+        out += np.bincount(codes.ravel(), minlength=m * m)
+    return out.reshape(m, m)
