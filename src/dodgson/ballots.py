@@ -14,6 +14,13 @@ name and indices are assigned in order of first appearance.  Blank lines and
 
 Internally votes are stored in ascending preference order, so ballot lines
 are reversed on ingest and on output.
+
+Both directions work on the text's bytes one block of ``_block_rows(m)``
+votes at a time.  A canonical index file (the header on its first line, then
+only ASCII digits, commas and newlines, as :func:`format_ballots` writes it)
+is decoded straight from the bytes of the text; every other accepted form is
+read line by line, and its lines of plain digit entries go through the same
+byte decoder.  Formatting gathers fixed-width label fields.
 """
 
 from __future__ import annotations
@@ -70,24 +77,18 @@ def _numbered_lines(text: str) -> list[tuple[int, str]]:
 def parse_ballots(text: str) -> BallotFile:
     """Parse ballot text into an Election plus candidate labels.
 
-    A canonical index file (ASCII digits and commas only, as
-    :func:`format_ballots` writes it) is read in one vectorised pass; every
-    other accepted form line by line, with the same results and errors.
+    A canonical index file is decoded straight from the text's bytes (see
+    :func:`_read_canonical`).  Every other text, and any such file that the
+    decoder does not accept or whose ballots are not all rankings, is read
+    line by line, with the same results and errors.
     """
+    parsed = _read_canonical(text)
+    if parsed is not None:
+        return parsed
     lines = _numbered_lines(text)
     if not lines:
         raise BallotParseError(1, "empty ballot file")
-
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise BallotParseError(no, f"expected header 'm n', got {header!r}")
-    try:
-        m, n = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise BallotParseError(no, f"expected header 'm n', got {header!r}") from None
-    if m < 1 or n < 1:
-        raise BallotParseError(no, f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    m, n = _header(*lines[0])
 
     body = lines[1:]
     names: Optional[dict[str, int]] = None
@@ -128,52 +129,119 @@ def parse_ballots(text: str) -> BallotFile:
             pass
         else:
             if names is None:
-                return BallotFile(election, tuple(str(i) for i in range(1, m + 1)))
+                return BallotFile(election, _index_labels(m))
             return BallotFile(election, tuple(sorted(names, key=names.__getitem__)))
     bad = invalid_votes(m, ranks[:filled])
     no, line = body[int(bad[0]) if len(bad) else filled]
     raise _ballot_error(no, line, m, names)
 
 
+def _header(no: int, line: str) -> tuple[int, int]:
+    """The ``m n`` of a header line (line ``no``)."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise BallotParseError(no, f"expected header 'm n', got {line!r}")
+    try:
+        m, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise BallotParseError(no, f"expected header 'm n', got {line!r}") from None
+    if m < 1 or n < 1:
+        raise BallotParseError(no, f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    return m, n
+
+
+def _index_labels(m: int) -> tuple[str, ...]:
+    return tuple(str(i) for i in range(1, m + 1))
+
+
 def _tokens(line: str) -> list[str]:
     return [t.strip() for t in line.split(",")]
+
+
+def _read_canonical(text: str) -> Optional[BallotFile]:
+    """The parse of a canonical index file, decoded from its bytes; None for any other text.
+
+    Canonical here means ASCII, the header alone on the first line, then n
+    lines of one length holding only digits, commas and newlines (the last
+    line's newline may be missing).  Every ranking of 1..m written without
+    leading zeros has the same length, so each block of ``_block_rows(m)``
+    votes is a fixed slice of the body's bytes.  None also when some ballot
+    is no ranking, so that the line-by-line route locates and reports it.
+    The only whole-body scratch is the one ``bytes`` copy of the text.
+    """
+    cut = text.find("\n")
+    if not text.isascii() or cut < 0:
+        return None
+    first = _numbered_lines(text[:cut])
+    if len(first) != 1 or first[0][0] != 1:  # the header is not the first line
+        return None
+    m, n = _header(*first[0])
+    size = len(text) - cut - (text[-1] == "\n")  # the body's length, last newline counted
+    width = size // n
+    if size != width * n or width < 2 * m:  # too short to hold n lines of m entries
+        return None
+
+    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8, offset=cut + 1)
+    ranks = np.empty((n, m), dtype=np.int32)
+    step = _block_rows(m)
+    for lo in range(0, n, step):
+        block = body[lo * width : (lo + step) * width]
+        if len(block) % width:  # the last line, without its newline
+            block = np.append(block, np.uint8(ord("\n")))
+        if not _read_entries(block, ranks[lo : lo + step]):
+            return None
+    del body, block  # the text's bytes, freed before validation
+    try:
+        election = Election.from_rows(m, ranks[:, ::-1])  # store ascending
+    except ValueError:
+        return None
+    return BallotFile(election, _index_labels(m))
 
 
 def _read_digits(ranks: np.ndarray, body: list[tuple[int, str]]) -> int:
     """Fill rows one block at a time while every entry is 1-18 ASCII digits.
 
     Returns the number of rows filled: all of them, or those before the first
-    block with some other entry.  ``int()`` reads such entries alike and
-    int64 holds them; each line has m entries.  Values are clipped to 0..m+1
-    before they narrow to ``ranks``' dtype, so none wraps into range.
+    block with some other entry.  Each block's stripped lines, joined with
+    newlines, go through :func:`_read_entries`.
     """
     n, m = ranks.shape
     step = _block_rows(m)
     for lo in range(0, n, step):
-        text = ",".join([line for _, line in body[lo : lo + step]])
-        if not (text.isascii()
-                and _short_digit_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8))):
+        text = "\n".join([*(line for _, line in body[lo : lo + step]), ""])
+        if not (text.isascii() and _read_entries(
+                np.frombuffer(text.encode("ascii"), dtype=np.uint8), ranks[lo : lo + step])):
             return lo
-        block = np.fromstring(text, dtype=np.int64, sep=",")
-        ranks[lo : lo + step] = block.clip(0, m + 1, out=block).reshape(-1, m)
     return n
 
 
-def _short_digit_entries(data: np.ndarray) -> bool:
-    """Whether the bytes are comma-separated entries of 1-18 ASCII digits each.
+def _read_entries(data: np.ndarray, out: np.ndarray) -> bool:
+    """Fill ``out`` from the ASCII bytes ``data`` if they are exactly its lines.
 
-    Its scratch is uint8 and bool arrays, a few bytes per byte of text, all
-    freed before the caller converts the text.
+    That is, ``len(out)`` lines, each of ``m = out.shape[1]`` comma-separated
+    entries of 1-18 digits and ended by a newline; returns whether they were,
+    and leaves ``out`` alone if not.  ``int()`` reads such entries alike and
+    int64 holds them.  Values are clipped to 0..m+1 before they narrow to
+    ``out``'s dtype, so none wraps into range.
     """
-    comma = data == ord(",")
-    if not (comma | ((data >= ord("0")) & (data <= ord("9")))).all():
+    rows, m = out.shape
+    digits = data - np.uint8(ord("0"))  # every other byte wraps past 9
+    ends = np.flatnonzero(digits > 9)  # the separator after each entry
+    # every comma is a separator; with each m-th one a newline, all the others are commas
+    if (len(ends) != rows * m or ends[-1] != len(data) - 1
+            or np.count_nonzero(data == ord(",")) != rows * (m - 1)
+            or (data[ends[m - 1 :: m]] != ord("\n")).any()):
         return False
-    if comma[0] or comma[-1] or (comma[:-1] & comma[1:]).any():  # an empty entry
+    gaps = np.diff(ends, prepend=-1)  # each entry's width plus one
+    if gaps.min() < 2 or gaps.max() > 19:
         return False
-    run = ~comma  # run[i]: the w bytes from i on are all digits; w = 1, 2, 4, 8, 16, 19
-    for step in (1, 2, 4, 8, 3):
-        run = run[:-step] & run[step:]
-    return not run.any()  # no entry of 19 or more digits
+    values = digits[ends - 1].astype(np.int64)
+    for place in range(1, int(gaps.max()) - 1):  # one gather per digit place
+        column = digits[ends - (place + 1)]
+        column[gaps <= place + 1] = 0  # entries without that place
+        values += np.multiply(column, 10**place, dtype=np.int64)
+    out[:] = values.clip(0, m + 1, out=values).reshape(rows, m)
+    return True
 
 
 def _fill(ranks: np.ndarray, body: list[tuple[int, str]], row_of, start: int = 0) -> int:
@@ -219,19 +287,48 @@ def _ballot_error(no: int, line: str, m: int, names: Optional[dict[str, int]]) -
 
 
 def format_ballots(e: Election, labels: Optional[Sequence[str]] = None) -> str:
-    """Canonical text for an election: header, optional names, ballots."""
-    out = [f"{e.m} {e.n}"]
-    names = (None, *(str(i) for i in e.candidates))
-    if labels is not None and tuple(labels) != names[1:]:
+    """Canonical text for an election: header, optional names, ballots.
+
+    Each block of votes is one gather from two tables of fixed-width label
+    fields (see :func:`_label_fields`), most preferred first, the last
+    candidate's field ending in a newline.  Its bytes, less the filler, are
+    the block's lines.  A block holds ``_block_rows(m * W)`` votes, W bytes
+    a field, so its fields take about ``_BLOCK_CELLS`` bytes however long
+    the labels are.
+    """
+    out = [f"{e.m} {e.n}\n"]
+    names = _index_labels(e.m)
+    if labels is not None and tuple(labels) != names:
         if len(labels) != e.m:
             raise ValueError(f"need {e.m} labels, got {len(labels)}")
-        out.append("names: " + ",".join(labels))
-        names = (None, *labels)
-    table = np.array(names, dtype=object)
-    step = _block_rows(e.m)
-    for lo in range(0, e.n, step):  # one row per vote, most preferred first
-        out.append("\n".join(map(",".join, table[e.ranks[lo : lo + step, ::-1]].tolist())))
-    return "\n".join([*out, ""])
+        out.append("names: " + ",".join(labels) + "\n")
+        names = tuple(labels)
+    inner, last = _label_fields(names, ","), _label_fields(names, "\n")
+    step = _block_rows(e.m * inner.itemsize)
+    for lo in range(0, e.n, step):
+        ranks = e.ranks[lo : lo + step]
+        fields = np.empty(ranks.shape, dtype=inner.dtype)
+        fields[:, :-1] = np.take(inner, ranks[:, :0:-1])
+        fields[:, -1] = np.take(last, ranks[:, 0])
+        out.append(fields.tobytes().translate(None, _FILLER).decode("utf-8", "surrogatepass"))
+    return "".join(out)
+
+
+_FILLER = b"\xff"  # a byte that no UTF-8 text holds
+
+
+def _label_fields(labels: Sequence[str], end: str) -> np.ndarray:
+    """Field c holds label c's UTF-8 bytes then ``end``, padded with ``_FILLER``.
+
+    The fields are ``V{W}`` scalars, W the widest label's bytes plus one, at
+    indices 1..m (index 0 is unused), so a gather by candidate builds rows.
+    """
+    encoded = [(label + end).encode("utf-8", "surrogatepass") for label in labels]
+    width = max(map(len, encoded))
+    table = np.full((len(encoded) + 1, width), _FILLER[0], dtype=np.uint8)
+    for c, field in enumerate(encoded, start=1):
+        table[c, : len(field)] = np.frombuffer(field, dtype=np.uint8)
+    return table.view(f"V{width}").ravel()
 
 
 def _is_int(token: str) -> bool:

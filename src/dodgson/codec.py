@@ -135,6 +135,10 @@ def _check_bits(bits: str, what: str) -> None:
         raise BitDecodeError(f"{what}: unexpected {sorted(set(bits) - {'0', '1'})!r}")
 
 
+_ASCII_SPACE = np.zeros(256, dtype=bool)  # the ASCII characters that str.split() splits on
+_ASCII_SPACE[[ord(c) for c in map(chr, range(0x80)) if c.isspace()]] = True
+
+
 def _ascii(text: str) -> np.ndarray:
     """The bytes of an ASCII string as a uint8 array."""
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -151,8 +155,25 @@ def write_dtb(bits: str, path) -> None:
 
 
 def read_dtb(path) -> str:
-    text = Path(path).read_text()
-    bits = "".join(text.split())
+    """The bits of an ASCII bit file, all whitespace dropped.
+
+    An ASCII file is read as bytes and squeezed in place one block at a time,
+    dropping the bytes that ``str.split()`` splits on, so its scratch is the
+    file's bytes; any other file is read as text.
+    """
+    with open(path, "rb") as fh:
+        raw = np.fromfile(fh, dtype=np.uint8)
+    if raw.max(initial=0) < 0x80:
+        kept = 0
+        for lo in range(0, len(raw), _BLOCK_CELLS):
+            block = raw[lo : lo + _BLOCK_CELLS]
+            chars = block[~_ASCII_SPACE[block]]
+            raw[kept : kept + len(chars)] = chars
+            kept += len(chars)
+        bits = str(raw[:kept], "ascii")
+    else:
+        del raw
+        bits = "".join(Path(path).read_text().split())
     _check_bits(bits, "not a bit file")
     if not bits:
         raise BitDecodeError("empty bit file")

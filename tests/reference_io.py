@@ -3,7 +3,8 @@
 These are the original one-field-at-a-time versions of
 :func:`dodgson.ballots.parse_ballots`, :func:`dodgson.ballots.format_ballots`,
 :func:`dodgson.codec.encode`, :func:`dodgson.codec.decode`,
-:func:`dodgson.codec.write_dtbz` and :func:`dodgson.codec.read_dtbz`.  The
+:func:`dodgson.codec.read_dtb`, :func:`dodgson.codec.write_dtbz` and
+:func:`dodgson.codec.read_dtbz`.  The
 array implementations in the package must agree with them on every input:
 equal results, or the same error type and message.
 """
@@ -195,6 +196,16 @@ def decode(bits: str) -> DodgsonTriple:
             raise BitDecodeError(f"vote is not a permutation of 1..{m}: {vote!r}")
         votes.append(vote)
     return DodgsonTriple(Election(m, tuple(votes)), c)
+
+
+def read_dtb(path) -> str:
+    bits = "".join(Path(path).read_text().split())
+    bad = set(bits) - {"0", "1"}
+    if bad:
+        raise BitDecodeError(f"not a bit file: unexpected {sorted(bad)!r}")
+    if not bits:
+        raise BitDecodeError("empty bit file")
+    return bits
 
 
 def write_dtbz(bits: str, path) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dodgson import Election
-from dodgson.ballots import BallotParseError, _short_digit_entries, format_ballots, parse_ballots
+from dodgson.ballots import BallotParseError, _read_entries, format_ballots, parse_ballots
 
 
 class TestParse:
@@ -111,20 +111,28 @@ class TestParseErrors:
         assert line == 2 and "out of range" in msg
 
 
-def short_digit_entries(text: str) -> bool:
-    return _short_digit_entries(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+def read_entries(line: str) -> bool:
+    """Whether the byte decoder takes ``line`` as one ballot line; checks what it reads."""
+    tokens = line.split(",")
+    out = np.zeros((1, len(tokens)), dtype=np.int32)
+    if not _read_entries(np.frombuffer((line + "\n").encode("ascii"), dtype=np.uint8), out):
+        assert not out.any()
+        return False
+    assert out[0].tolist() == [min(int(t), len(tokens) + 1) for t in tokens]
+    return True
 
 
 @pytest.mark.parametrize("width", range(1, 26))
 def test_one_pass_route_takes_entries_of_1_to_18_digits(width):
     entry = "7" * width
     for text in (entry, f"1,{entry}", f"{entry},2", f"1,{entry},2", f"1,2,{entry},3,4"):
-        assert short_digit_entries(text) is (width <= 18)
+        assert read_entries(text) is (width <= 18)
 
 
-@pytest.mark.parametrize("text", [",1", "1,", "1,,2", ",", "1,-2", "1, 2", "+1", "1.5"])
+@pytest.mark.parametrize("text", [",1", "1,", "1,,2", ",", "1,-2", "1, 2", "+1", "1.5",
+                                  "1\r", "1\n2", "1,\n2"])
 def test_one_pass_route_refuses_empty_or_non_digit_entries(text):
-    assert short_digit_entries(text) is False
+    assert read_entries(text) is False
 
 
 class TestFormat:

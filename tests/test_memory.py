@@ -14,7 +14,7 @@ import pytest
 
 from dodgson import DodgsonTriple, SamplerConfig, sample_election
 from dodgson.ballots import format_ballots, parse_ballots
-from dodgson.codec import decode, encode, read_dtbz, write_dtbz
+from dodgson.codec import decode, encode, read_dtb, read_dtbz, write_dtb, write_dtbz
 from dodgson.election import adjacency_counts, preference_counts
 
 
@@ -25,8 +25,9 @@ def inputs(tmp_path_factory):
     bits = encode(triple)
     path = tmp_path_factory.mktemp("memory") / "x.dtbz"
     write_dtbz(bits, path)
+    write_dtb(bits, path.with_name("x.dtb"))
     return {"election": e, "triple": triple, "text": format_ballots(e), "bits": bits,
-            "packed": path, "scratch": path.with_name("y.dtbz")}
+            "packed": path, "scratch": path.with_name("y.dtbz"), "plain": path.with_name("x.dtb")}
 
 
 def peak_mib(func, *args) -> float:
@@ -49,6 +50,7 @@ CASES = {  # name: (bound in MiB, call)
     "encode": (15, lambda x: encode(x["triple"])),
     "write_dtbz": (6, lambda x: write_dtbz(x["bits"], x["scratch"])),
     "read_dtbz": (16, lambda x: read_dtbz(x["packed"])),
+    "read_dtb": (16, lambda x: read_dtb(x["plain"])),
     "decode": (9, lambda x: decode(x["bits"])),
 }
 

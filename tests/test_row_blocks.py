@@ -26,10 +26,14 @@ from test_io_reference import outcome
 CANDIDATE_COUNTS = (1, 2, 3, 100, 255, 256, 257)
 
 
-def edge_sizes(m):
-    """n one short of a block, one block, one over, and two blocks plus one."""
-    rows = _block_rows(m)
+def block_edges(rows):
+    """n one short of a block of ``rows`` votes, one block, one over, and two blocks plus one."""
     return [n for n in (rows - 1, rows, rows + 1, 2 * rows + 1) if n >= 1]
+
+
+def edge_sizes(m):
+    """The block edges of the passes that walk ``_block_rows(m)`` votes at a time."""
+    return block_edges(_block_rows(m))
 
 
 def edge_profile(m):
@@ -59,7 +63,9 @@ def test_io_matches_reference_at_block_edges(m):
             head = len(lines) - whole.n  # the 'm n' line, and the names line if any
             text = format_ballots(e, names)
             assert text == "\n".join([f"{m} {n}", *lines[1 : head + n], ""])
-            assert parse_ballots(text) == BallotFile(e, names or tuple(map(str, e.candidates)))
+            want = BallotFile(e, names or tuple(map(str, e.candidates)))
+            assert parse_ballots(text) == want
+            assert parse_ballots(text[:-1]) == want  # no final newline
 
         t = DodgsonTriple(e, m)
         bits = encode(t)
@@ -68,6 +74,20 @@ def test_io_matches_reference_at_block_edges(m):
         got = dtbz_bytes_and_bits(write_dtbz, read_dtbz, bits)
         assert got == dtbz_bytes_and_bits(ref_io.write_dtbz, ref_io.read_dtbz, bits)
         assert got[1] == bits
+
+
+@pytest.mark.parametrize("m", CANDIDATE_COUNTS)
+def test_format_matches_reference_at_its_block_edges(m):
+    """format_ballots gathers ``_block_rows(m * W)`` votes at a time, W bytes a label field."""
+    for names in (None, tuple(f"v{c}" for c in range(1, m + 1))):
+        width = max(map(len, names or map(str, range(1, m + 1)))) + 1  # a label and ',' or '\n'
+        sizes = block_edges(_block_rows(m * width))
+        whole = sample_election(SamplerConfig(m, sizes[-1], seed=m))
+        lines = ref_io.format_ballots(whole, names).splitlines()
+        head = len(lines) - whole.n
+        for n in sizes:
+            e = Election.from_rows(m, whole.ranks[:n])
+            assert format_ballots(e, names) == "\n".join([f"{m} {n}", *lines[1 : head + n], ""])
 
 
 @pytest.mark.parametrize("m", CANDIDATE_COUNTS)
@@ -160,6 +180,33 @@ def test_non_permutation_in_second_block_matches_reference(m):
     vote = _block_rows(m) + 1
     text = edited_text(m, {vote: lambda entries: entries[:-1] + entries[:1]})
     assert "not a strict ranking" in assert_parse_error_matches_reference(text, vote + 2)
+
+
+# Each edits the ballot line at index i of a canonical file's lines.
+SECOND_BLOCK_EDITS = {
+    "missing entry": lambda lines, i: lines.__setitem__(i, lines[i].rpartition(",")[0]),
+    "extra entry": lambda lines, i: lines.__setitem__(i, lines[i] + ",1"),
+    "empty entry": lambda lines, i: lines.__setitem__(i, lines[i] + ","),
+    "repeated candidate": lambda lines, i: lines.__setitem__(
+        i, ",".join([*lines[i].split(",")[:-1], lines[i].split(",")[0]])),
+    "19-digit m+1": lambda lines, i: lines.__setitem__(
+        i, ",".join([*lines[i].split(",")[:-1], str(len(lines[i].split(",")) + 1).zfill(19)])),
+    "extra line": lambda lines, i: lines.insert(i, lines[i]),
+    "missing line": lambda lines, i: lines.pop(i),
+}
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("m, edit", [(m, edit) for m in CANDIDATE_COUNTS for edit in SECOND_BLOCK_EDITS
+                                     if not (m == 1 and edit == "repeated candidate")])
+def test_bad_line_in_second_block_matches_reference(m, edit, final_newline):
+    vote = _block_rows(m) + 1
+    lines = format_ballots(edge_profile(m)).splitlines()
+    SECOND_BLOCK_EDITS[edit](lines, 1 + vote)
+    text = "\n".join(lines) + "\n" * final_newline
+    got = outcome(parse_ballots, text)
+    assert got[0] is BallotParseError and got[2] >= vote + 1
+    assert got == outcome(ref_io.parse_ballots, text)
 
 
 @pytest.mark.parametrize("m", (3, 100))
