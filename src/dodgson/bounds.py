@@ -31,7 +31,7 @@ from .election import (
     adjacency_counts,
     preference_counts,
 )
-from .greedy import Confidence, _score_all
+from .greedy import Confidence, _score_all, _winner_set
 from .oracle import ScoreMode, dodgson_winners, exact_dodgson_score, profile_count
 from .sampling import SamplerConfig, sample_ranks, substream_seed
 
@@ -227,9 +227,7 @@ def run_trials(
             }
             bad = any(exact[c] != results[c - 1].score for c in exact)
             if all(definite):
-                best = min(r.score for r in results)
-                greedy_set = frozenset(c for c in e.candidates if results[c - 1].score == best)
-                bad = bad or greedy_set != dodgson_winners(
+                bad = bad or _winner_set(results).winners != dodgson_winners(
                     e, ScoreMode.STRICT, state_budget=oracle_budget
                 )
             if bad:

@@ -14,17 +14,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .ballots import BallotFile, BallotParseError, format_ballots, parse_ballots
+from .ballots import BallotFile, format_ballots, parse_ballots
 from .bounds import BoundParams, SelfCheckError, run_trials, write_csv, write_report
-from .codec import (
-    BitDecodeError,
-    decode,
-    encode,
-    read_dtb,
-    read_dtbz,
-    write_dtb,
-    write_dtbz,
-)
+from .codec import decode, encode, read_dtb, read_dtbz, write_dtb, write_dtbz
 from .election import DodgsonTriple
 from .greedy import greedy_all_winners, greedy_score, greedy_winner
 from .oracle import BudgetExceededError, ScoreMode, bfs_swap_score, exact_dodgson_score
@@ -219,10 +211,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BallotParseError, BitDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # BallotParseError and BitDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

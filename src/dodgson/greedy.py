@@ -76,19 +76,9 @@ def greedy_winner(triple: DodgsonTriple) -> GreedyWinnerResult:
     Confidence is ``definitely`` only if every per-candidate score call was
     definite, in which case the answer is guaranteed correct.
     """
-    e, c = triple.election, triple.candidate
-    cres = greedy_score(triple)
-    winner = True
-    confidence = cres.confidence
-    for d in e.candidates:
-        if d == c:
-            continue
-        dres = greedy_score(DodgsonTriple(e, d))
-        if dres.score < cres.score:
-            winner = False
-        if dres.confidence is Confidence.MAYBE:
-            confidence = Confidence.MAYBE
-    return GreedyWinnerResult(winner, confidence)
+    e = triple.election
+    best = _winner_set([greedy_score(DodgsonTriple(e, d)) for d in e.candidates])
+    return GreedyWinnerResult(triple.candidate in best.winners, best.confidence)
 
 
 def greedy_all_winners(e: Election) -> GreedyWinnersResult:
@@ -98,13 +88,18 @@ def greedy_all_winners(e: Election) -> GreedyWinnersResult:
     When confidence is ``definitely`` the returned set is exactly the Dodgson
     winner set.
     """
-    results = _score_all(preference_counts(e.ranks), adjacency_counts(e.ranks))
+    return _winner_set(_score_all(preference_counts(e.ranks), adjacency_counts(e.ranks)))
+
+
+def _winner_set(results: list[GreedyScoreResult]) -> GreedyWinnersResult:
+    """The candidates (1-based, in ``results`` order) of least greedy score.
+
+    Tagged ``definitely`` iff every score is.
+    """
     best = min(r.score for r in results)
-    winners = frozenset(c for c, r in zip(e.candidates, results) if r.score == best)
-    confidence = Confidence.DEFINITELY
-    if any(r.confidence is Confidence.MAYBE for r in results):
-        confidence = Confidence.MAYBE
-    return GreedyWinnersResult(winners, confidence)
+    winners = frozenset(c for c, r in enumerate(results, 1) if r.score == best)
+    definite = all(r.confidence is Confidence.DEFINITELY for r in results)
+    return GreedyWinnersResult(winners, Confidence.DEFINITELY if definite else Confidence.MAYBE)
 
 
 def _score_all(pref, adj) -> list[GreedyScoreResult]:

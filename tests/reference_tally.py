@@ -4,8 +4,10 @@ These are the original one-vote-at-a-time versions of
 :func:`dodgson.election.pairwise_stats`,
 :func:`dodgson.election.preference_counts`,
 :func:`dodgson.election.condorcet_winner` and
-:func:`dodgson.bounds.pair_condition_holds`.  The array implementations in
-the package must agree with them on every election, candidate and adversary.
+:func:`dodgson.bounds.pair_condition_holds`, and the original
+candidate-by-candidate loop of :func:`dodgson.greedy.greedy_winner`.  The
+implementations in the package must agree with them on every election,
+candidate and adversary.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from dodgson.election import DodgsonTriple, Election, PairwiseStats
+from dodgson.greedy import Confidence, GreedyWinnerResult, greedy_score
 
 
 def pairwise_stats(triple: DodgsonTriple) -> PairwiseStats:
@@ -72,3 +75,26 @@ def pair_condition_holds(triple: DodgsonTriple, d: int) -> bool:
                 adjacent += 1
     m, n = e.m, e.n
     return 4 * m * prefer_d <= 2 * m * n + n and 4 * m * adjacent >= 3 * n
+
+
+def greedy_winner(triple: DodgsonTriple) -> GreedyWinnerResult:
+    """Guess whether the candidate is a Dodgson winner.
+
+    Scores every candidate greedily; the answer is "no" exactly when some
+    other candidate gets a strictly smaller greedy score (ties keep "yes").
+    Confidence is ``definitely`` only if every per-candidate score call was
+    definite, in which case the answer is guaranteed correct.
+    """
+    e, c = triple.election, triple.candidate
+    cres = greedy_score(triple)
+    winner = True
+    confidence = cres.confidence
+    for d in e.candidates:
+        if d == c:
+            continue
+        dres = greedy_score(DodgsonTriple(e, d))
+        if dres.score < cres.score:
+            winner = False
+        if dres.confidence is Confidence.MAYBE:
+            confidence = Confidence.MAYBE
+    return GreedyWinnerResult(winner, confidence)

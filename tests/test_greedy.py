@@ -1,7 +1,8 @@
 import itertools
 import random
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 
 from conftest import elections, triples
 from dodgson import (
@@ -18,6 +19,7 @@ from dodgson import (
     pairwise_stats,
     sample_stream,
 )
+from dodgson.election import adjacency_counts, preference_counts
 from dodgson.greedy import score_from_stats
 
 D = Confidence.DEFINITELY
@@ -209,3 +211,29 @@ def test_score_from_stats_is_pure():
     stats2 = PairwiseStats({2: 4, 3: -1}, {2: 2, 3: 0})
     res2 = score_from_stats(stats2)
     assert (res2.score, res2.confidence) == (4, M)
+
+
+def assert_maybe_iff_a_long_way_above(e):
+    # b[c-1, d-1] counts the votes with d above c but not directly above it;
+    # c's greedy score is maybe iff 2b >= n for some adversary d
+    b = preference_counts(e.ranks).T - adjacency_counts(e.ranks)
+    short = 2 * b >= e.n
+    np.fill_diagonal(short, False)
+    for c in e.candidates:
+        assert (greedy_score(DodgsonTriple(e, c)).confidence is M) == short[c - 1].any()
+
+
+@given(elections(max_m=9, max_n=40))
+@example(Election(3, ((1, 2, 3), (3, 2, 1))))  # 2b == n: the deficit equals 2 * swaps
+def test_maybe_iff_some_adversary_is_a_long_way_above(e):
+    assert_maybe_iff_a_long_way_above(e)
+
+
+def test_maybe_identity_exhaustively_m3_n3():
+    perms = list(itertools.permutations((1, 2, 3)))
+    maybe = 0
+    for prof in itertools.product(perms, repeat=3):
+        e = Election(3, prof)
+        assert_maybe_iff_a_long_way_above(e)
+        maybe += any(greedy_score(DodgsonTriple(e, c)).confidence is M for c in e.candidates)
+    assert maybe == 96  # the golden exhaustive maybe_count

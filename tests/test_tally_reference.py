@@ -6,8 +6,12 @@ one vote, and the candidate at the top or bottom of every vote; and each
 ``pair_condition_holds`` answer must equal its entry of the matrix that
 ``run_trials`` uses, whether or not ``Election.positions`` was cached before.
 ``condorcet_winner`` must equal the reference's on every election, with ties,
-cycles and one candidate on top of every vote.
+cycles and one candidate on top of every vote, and must not read
+``pairwise_stats``.  ``greedy_winner`` must equal the reference's
+candidate-by-candidate loop for every candidate.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,8 +20,8 @@ from hypothesis import strategies as st
 
 import reference_tally as ref
 from conftest import elections
-from dodgson import (DodgsonTriple, Election, condorcet_winner, pair_condition_holds,
-                     pairwise_stats)
+from dodgson import (DodgsonTriple, Election, condorcet_winner, election, greedy_winner,
+                     pair_condition_holds, pairwise_stats)
 from dodgson.bounds import _pair_condition_matrix
 from dodgson.election import adjacency_counts, preference_counts
 
@@ -71,6 +75,42 @@ def test_candidate_at_top_or_bottom_matches_reference(e):
 @example(Election(4, ((1, 2, 3, 4), (2, 3, 1, 4), (4, 3, 2, 1), (3, 1, 4, 2))))  # 4 ties 2
 def test_condorcet_winner_matches_reference(e):
     assert condorcet_winner(e) == ref.condorcet_winner(e)
+
+
+def every_profile(m, n):
+    """Every election with m candidates and n votes."""
+    perms = list(itertools.permutations(range(1, m + 1)))
+    return (Election(m, prof) for prof in itertools.product(perms, repeat=n))
+
+
+def test_condorcet_winner_reads_no_pairwise_stats(monkeypatch):
+    # the confirmation must not borrow the tally that greedy_score reads
+    def broken(*args, **kwargs):
+        raise RuntimeError("pairwise_stats called")
+
+    monkeypatch.setattr(election, "pairwise_stats", broken)
+    examples = [Election(2, ((1, 2), (2, 1))), Election(1, ((1,),) * 2),
+                Election(4, ((1, 2, 3, 4), (2, 3, 1, 4), (4, 3, 2, 1), (3, 1, 4, 2)))]
+    for e in [*examples, *every_profile(3, 3)]:
+        assert condorcet_winner(e) == ref.condorcet_winner(e)
+
+
+def assert_greedy_winner_matches_reference(e):
+    for c in e.candidates:
+        t = DodgsonTriple(e, c)
+        assert greedy_winner(t) == ref.greedy_winner(t)
+
+
+@given(elections(max_m=6, max_n=4))  # few votes: ties and maybe tags are common
+@example(Election(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2))))  # all tie, all definite
+@example(Election(4, tuple([(1, 2, 3, 4)] * 3 + [(3, 4, 1, 2)] * 2)))  # maybe elsewhere
+def test_greedy_winner_matches_reference(e):
+    assert_greedy_winner_matches_reference(e)
+
+
+def test_greedy_winner_matches_reference_exhaustively_m3_n3():
+    for e in every_profile(3, 3):
+        assert_greedy_winner_matches_reference(e)
 
 
 @st.composite
