@@ -20,7 +20,7 @@ import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, replace
-from math import exp
+from math import comb, exp
 from typing import Optional
 
 import numpy as np
@@ -153,6 +153,25 @@ def _pair_condition_matrix(pref: np.ndarray, adj: np.ndarray, m: int, n: int) ->
     return ok
 
 
+def _multisets(m: int, n: int):
+    """(profile index, weight, ranks) for each multiset of n votes over m candidates.
+
+    ``ranks`` is the multiset's sorted arrangement, the first of its orderings
+    in ``itertools.product`` order, and the profile index is that ordering's
+    position there.  ``weight`` is the multinomial count of its orderings.
+    """
+    perms = list(itertools.permutations(range(1, m + 1)))
+    for combo in itertools.combinations_with_replacement(range(len(perms)), n):
+        weight, left = 1, n
+        for _, group in itertools.groupby(combo):
+            k = len(list(group))
+            weight, left = weight * comb(left, k), left - k
+        index = 0
+        for k in combo:
+            index = index * len(perms) + k
+        yield index, weight, np.array([perms[k] for k in combo], dtype=np.int32)
+
+
 def run_trials(
     params: BoundParams,
     trials: int,
@@ -172,8 +191,12 @@ def run_trials(
     match the exact oracle.  Each error names the trial, and the substream
     seed (or exhaustive profile index) that regenerates its election.
 
-    With ``exhaustive=True`` all (m!)^n profiles are enumerated instead of
-    sampling, so the reported frequencies are exact; ``trials`` is ignored.
+    With ``exhaustive=True`` the frequencies are exact over all (m!)^n
+    profiles, and ``trials`` is ignored.  Every count depends on a profile
+    only through its multiset of votes, so the sweep scores one election per
+    multiset, weighted by its multinomial count of orderings.  The cap is
+    still (m!)^n <= 10^6 profiles.  An error names the multiset's first
+    profile in ``itertools.product`` order, which is the least failing one.
     """
     m, n = params.m, params.n
     if trials < 1:
@@ -181,15 +204,12 @@ def run_trials(
     t0 = time.perf_counter()
 
     if exhaustive:
-        total = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
-        perms = list(itertools.permutations(range(1, m + 1)))
-        profiles = itertools.product(perms, repeat=n)
-        ranks_iter = (np.array(p, dtype=np.int32) for p in profiles)
-        trials = total
+        trials = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
+        cases = _multisets(m, n)
     else:
         cfg = SamplerConfig(m, n, seed)
-        ranks_iter = (sample_ranks(replace(cfg, seed=substream_seed(seed, i)))
-                      for i in range(trials))
+        cases = ((i, 1, sample_ranks(replace(cfg, seed=substream_seed(seed, i))))
+                 for i in range(trials))
 
     def where(i: int) -> str:
         source = f"profile {i}" if exhaustive else f"substream seed {substream_seed(seed, i)}"
@@ -197,18 +217,19 @@ def run_trials(
 
     maybe_count = 0
     pairfail_count = 0
-    mismatches: list[int] = []
-    for i, ranks in enumerate(ranks_iter):
+    mismatch_count = 0
+    first_mismatch = 0
+    for i, weight, ranks in cases:
         pref = preference_counts(ranks)
         adj = adjacency_counts(ranks)
         results = _score_all(pref, adj)
         definite = [r.confidence is Confidence.DEFINITELY for r in results]
         if not all(definite):
-            maybe_count += 1
+            maybe_count += weight
 
         holds = _pair_condition_matrix(pref, adj, m, n).all(axis=1).tolist()
         if not all(holds):
-            pairfail_count += 1
+            pairfail_count += weight
         for c in range(1, m + 1):
             if holds[c - 1] and not definite[c - 1]:
                 raise SelfCheckError(
@@ -231,12 +252,14 @@ def run_trials(
                     e, ScoreMode.STRICT, state_budget=oracle_budget
                 )
             if bad:
-                mismatches.append(i)
+                if not mismatch_count:
+                    first_mismatch = i
+                mismatch_count += weight
 
-    if mismatches:
+    if mismatch_count:
         raise SelfCheckError(
-            f"{len(mismatches)} definite greedy answers disagreed with the exact "
-            f"oracle; the first in {where(mismatches[0])}"
+            f"{mismatch_count} definite greedy answers disagreed with the exact "
+            f"oracle; the first in {where(first_mismatch)}"
         )
 
     return ExperimentReport(
@@ -246,7 +269,7 @@ def run_trials(
         seed=seed,
         maybe_count=maybe_count,
         pairfail_count=pairfail_count,
-        mismatch_count=len(mismatches),
+        mismatch_count=mismatch_count,
         bound_winner=bound_winner(params),
         bound_pair=bound_pair(params) if m >= 2 else None,
         wall_time=time.perf_counter() - t0,

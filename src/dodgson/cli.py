@@ -183,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="verify every definite answer against the exact oracle")
     p.add_argument("--exhaustive", action="store_true",
-                   help="enumerate all (m!)^n profiles instead of sampling")
+                   help="exact counts over all (m!)^n profiles (cap 10^6): one election "
+                        "per vote multiset, weighted by its multinomial; errors name the "
+                        "multiset's first profile in product order")
     p.add_argument("-o", "--output", help="report JSON file")
     p.add_argument("--csv", help="report CSV file")
     p.set_defaults(func=cmd_experiment)

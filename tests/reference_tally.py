@@ -5,19 +5,25 @@ These are the original one-vote-at-a-time versions of
 :func:`dodgson.election.preference_counts`,
 :func:`dodgson.election.condorcet_winner` and
 :func:`dodgson.bounds.pair_condition_holds`, and the original
-candidate-by-candidate loop of :func:`dodgson.greedy.greedy_winner`.  The
-implementations in the package must agree with them on every election,
-candidate and adversary.
+candidate-by-candidate loop of :func:`dodgson.greedy.greedy_winner`, and
+the one-profile-at-a-time walk of :func:`dodgson.bounds.run_trials` with
+``exhaustive=True``.  The implementations in the package must agree with
+them on every election, candidate and adversary, and on every exhaustive
+count.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
 
+from dodgson import election
+from dodgson.bounds import _pair_condition_matrix
 from dodgson.election import DodgsonTriple, Election, PairwiseStats
-from dodgson.greedy import Confidence, GreedyWinnerResult, greedy_score
+from dodgson.greedy import Confidence, GreedyWinnerResult, _score_all, _winner_set, greedy_score
+from dodgson.oracle import ScoreMode, dodgson_winners, exact_dodgson_score
 
 
 def pairwise_stats(triple: DodgsonTriple) -> PairwiseStats:
@@ -98,3 +104,31 @@ def greedy_winner(triple: DodgsonTriple) -> GreedyWinnerResult:
         if dres.confidence is Confidence.MAYBE:
             confidence = Confidence.MAYBE
     return GreedyWinnerResult(winner, confidence)
+
+
+def exhaustive_counts(m: int, n: int, oracle: bool = False) -> tuple[int, int, int, int]:
+    """(trials, maybe_count, pairfail_count, mismatch_count) over every ordered profile.
+
+    Tallies and scores each of the (m!)^n profiles of ``itertools.product``
+    on its own, as :func:`dodgson.bounds.run_trials` did before it scored one
+    election per vote multiset.  Mismatches with the exact oracle are
+    counted, not raised.
+    """
+    perms = list(itertools.permutations(range(1, m + 1)))
+    trials = maybe = pairfail = mismatches = 0
+    for profile in itertools.product(perms, repeat=n):
+        ranks = np.array(profile, dtype=np.int32)
+        pref, adj = election.preference_counts(ranks), election.adjacency_counts(ranks)
+        results = _score_all(pref, adj)
+        definite = [r.confidence is Confidence.DEFINITELY for r in results]
+        trials += 1
+        maybe += not all(definite)
+        pairfail += not _pair_condition_matrix(pref, adj, m, n).all()
+        if oracle:
+            e = Election.from_rows(m, ranks)
+            bad = any(exact_dodgson_score(DodgsonTriple(e, c), ScoreMode.STRICT)
+                      != results[c - 1].score for c in e.candidates if definite[c - 1])
+            if all(definite):
+                bad = bad or _winner_set(results).winners != dodgson_winners(e)
+            mismatches += bad
+    return trials, maybe, pairfail, mismatches
