@@ -15,22 +15,23 @@ name and indices are assigned in order of first appearance.  Blank lines and
 Internally votes are stored in ascending preference order, so ballot lines
 are reversed on ingest and on output.
 
-Both directions work on the text's bytes one block of ``_block_rows(m)``
-votes at a time.  A canonical index file (the header on its first line, then
-only ASCII digits, commas and newlines, as :func:`format_ballots` writes it)
-is decoded straight from the bytes of the text; every other accepted form is
-read line by line, and its lines of plain digit entries go through the same
-byte decoder.  Formatting gathers fixed-width label fields.
+Both directions work on the text's bytes one ``_row_blocks`` block at a time.
+One loop, :func:`_read_blocks`, decodes ballot bytes: fixed-width slices of a
+canonical index file (the header on its first line, then only ASCII digits,
+commas and newlines, as :func:`format_ballots` writes it), or else each
+block's stripped lines, with ``int()`` reading on from the first row it
+could not fill.  Formatting gathers fixed-width label fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import takewhile
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .election import Election, _block_rows, invalid_votes
+from .election import Election, _row_blocks, invalid_votes
 
 
 class BallotParseError(ValueError):
@@ -110,40 +111,33 @@ def parse_ballots(text: str) -> BallotFile:
 
     # Sized from n and m only now that the text holds n lines of m entries.
     ranks = np.empty((n, m), dtype=np.int32)
+    ballots = ranks[:, ::-1]  # most preferred first, as the lines list them
     filled = 0
     if names is None:  # int() strips the whitespace around an entry itself
-        filled = _read_digits(ranks, body)
+        texts = ("\n".join([*(line for _, line in body[rows]), ""]) for rows in _row_blocks(n, m))
+        filled = _read_blocks(ballots, (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+                                        for text in takewhile(str.isascii, texts)))
         # an index outside 1..m is stored as 0, which no dtype wraps into range
-        filled = _fill(ranks, body, lambda line: [
+        filled = _fill(ballots, body, lambda line: [
             i if 0 < i <= m else 0 for i in map(int, line.split(","))], filled)
     if filled < n:  # a names header, or some entry is no integer index
         _check_entries(body, m)
         if names is None and not all(map(_is_int, _tokens(body[0][1]))):
             names = _first_appearance(body, m)
         if names is not None:
-            filled = _fill(ranks, body, lambda line: [names[t] for t in _tokens(line)])
-    if filled == n:
-        try:
-            election = Election.from_rows(m, ranks[:, ::-1])  # store ascending
-        except ValueError:  # some ballot is no ranking; located below
-            pass
-        else:
-            if names is None:
-                return BallotFile(election, _index_labels(m))
-            return BallotFile(election, tuple(sorted(names, key=names.__getitem__)))
-    bad = invalid_votes(m, ranks[:filled])
+            filled = _fill(ballots, body, lambda line: [names[t] for t in _tokens(line)])
+    if filled == n and (parsed := _ballot_file(ranks, names)) is not None:
+        return parsed
+    bad = invalid_votes(m, ranks[:filled])  # some ballot is no ranking, or is unread
     no, line = body[int(bad[0]) if len(bad) else filled]
     raise _ballot_error(no, line, m, names)
 
 
 def _header(no: int, line: str) -> tuple[int, int]:
     """The ``m n`` of a header line (line ``no``)."""
-    parts = line.split()
-    if len(parts) != 2:
-        raise BallotParseError(no, f"expected header 'm n', got {line!r}")
     try:
-        m, n = int(parts[0]), int(parts[1])
-    except ValueError:
+        m, n = map(int, line.split())
+    except ValueError:  # not two fields, or not two integers
         raise BallotParseError(no, f"expected header 'm n', got {line!r}") from None
     if m < 1 or n < 1:
         raise BallotParseError(no, f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -164,10 +158,10 @@ def _read_canonical(text: str) -> Optional[BallotFile]:
     Canonical here means ASCII, the header alone on the first line, then n
     lines of one length holding only digits, commas and newlines (the last
     line's newline may be missing).  Every ranking of 1..m written without
-    leading zeros has the same length, so each block of ``_block_rows(m)``
-    votes is a fixed slice of the body's bytes.  None also when some ballot
-    is no ranking, so that the line-by-line route locates and reports it.
-    The only whole-body scratch is the one ``bytes`` copy of the text.
+    leading zeros has the same length, so each row block is a fixed slice of
+    the body's bytes.  None also when some ballot is no ranking, so that the
+    line-by-line route locates and reports it.  The only whole-body scratch
+    is the one ``bytes`` copy of the text.
     """
     cut = text.find("\n")
     if not text.isascii() or cut < 0:
@@ -183,36 +177,36 @@ def _read_canonical(text: str) -> Optional[BallotFile]:
 
     body = np.frombuffer(text.encode("ascii"), dtype=np.uint8, offset=cut + 1)
     ranks = np.empty((n, m), dtype=np.int32)
-    step = _block_rows(m)
-    for lo in range(0, n, step):
-        block = body[lo * width : (lo + step) * width]
-        if len(block) % width:  # the last line, without its newline
-            block = np.append(block, np.uint8(ord("\n")))
-        if not _read_entries(block, ranks[lo : lo + step]):
-            return None
-    del body, block  # the text's bytes, freed before validation
+    filled = _read_blocks(ranks[:, ::-1], (  # the last line may lack its newline
+        body[s] if s.stop <= len(body) else np.append(body[s], np.uint8(ord("\n")))
+        for s in _row_blocks(n, m, width)))
+    del body  # the text's bytes, freed before validation
+    return _ballot_file(ranks, None) if filled == n else None
+
+
+def _ballot_file(ranks: np.ndarray, names: Optional[dict[str, int]]) -> Optional[BallotFile]:
+    """Ascending ``ranks`` labelled by ``names`` (else by index); None if not all rankings."""
     try:
-        election = Election.from_rows(m, ranks[:, ::-1])  # store ascending
+        election = Election.from_rows(ranks.shape[1], ranks)
     except ValueError:
         return None
-    return BallotFile(election, _index_labels(m))
+    labels = _index_labels(election.m) if names is None else sorted(names, key=names.__getitem__)
+    return BallotFile(election, tuple(labels))
 
 
-def _read_digits(ranks: np.ndarray, body: list[tuple[int, str]]) -> int:
-    """Fill rows one block at a time while every entry is 1-18 ASCII digits.
+def _read_blocks(ballots: np.ndarray, blocks: Iterable[np.ndarray]) -> int:
+    """Fill ``ballots`` from ``blocks``, the uint8 bytes of each ``_row_blocks`` block's lines.
 
-    Returns the number of rows filled: all of them, or those before the first
-    block with some other entry.  Each block's stripped lines, joined with
-    newlines, go through :func:`_read_entries`.
+    Returns the number of rows filled: all of them, or those before the
+    first block that :func:`_read_entries` rejects or ``blocks`` lacks.
     """
-    n, m = ranks.shape
-    step = _block_rows(m)
-    for lo in range(0, n, step):
-        text = "\n".join([*(line for _, line in body[lo : lo + step]), ""])
-        if not (text.isascii() and _read_entries(
-                np.frombuffer(text.encode("ascii"), dtype=np.uint8), ranks[lo : lo + step])):
-            return lo
-    return n
+    n, m = ballots.shape
+    filled = 0
+    for rows, data in zip(_row_blocks(n, m), blocks):
+        if not _read_entries(data, ballots[rows]):
+            break
+        filled = rows.stop
+    return filled
 
 
 def _read_entries(data: np.ndarray, out: np.ndarray) -> bool:
@@ -292,9 +286,9 @@ def format_ballots(e: Election, labels: Optional[Sequence[str]] = None) -> str:
     Each block of votes is one gather from two tables of fixed-width label
     fields (see :func:`_label_fields`), most preferred first, the last
     candidate's field ending in a newline.  Its bytes, less the filler, are
-    the block's lines.  A block holds ``_block_rows(m * W)`` votes, W bytes
-    a field, so its fields take about ``_BLOCK_CELLS`` bytes however long
-    the labels are.
+    the block's lines.  Blocks are cut as rows of m * W cells, W bytes a
+    field, so a block's fields take a fixed number of bytes however long the
+    labels are.
     """
     out = [f"{e.m} {e.n}\n"]
     names = _index_labels(e.m)
@@ -304,9 +298,8 @@ def format_ballots(e: Election, labels: Optional[Sequence[str]] = None) -> str:
         out.append("names: " + ",".join(labels) + "\n")
         names = tuple(labels)
     inner, last = _label_fields(names, ","), _label_fields(names, "\n")
-    step = _block_rows(e.m * inner.itemsize)
-    for lo in range(0, e.n, step):
-        ranks = e.ranks[lo : lo + step]
+    for rows in _row_blocks(e.n, e.m * inner.itemsize):
+        ranks = e.ranks[rows]
         fields = np.empty(ranks.shape, dtype=inner.dtype)
         fields[:, :-1] = np.take(inner, ranks[:, :0:-1])
         fields[:, -1] = np.take(last, ranks[:, 0])

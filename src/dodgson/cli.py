@@ -18,7 +18,7 @@ from .ballots import BallotFile, format_ballots, parse_ballots
 from .bounds import BoundParams, SelfCheckError, run_trials, write_csv, write_report
 from .codec import decode, encode, read_dtb, read_dtbz, write_dtb, write_dtbz
 from .election import DodgsonTriple
-from .greedy import greedy_all_winners, greedy_score, greedy_winner
+from .greedy import greedy_all_winners, greedy_score
 from .oracle import BudgetExceededError, ScoreMode, bfs_swap_score, exact_dodgson_score
 from .sampling import SamplerConfig, sample_election
 
@@ -44,11 +44,10 @@ def cmd_score(args) -> int:
 
 def cmd_winner(args) -> int:
     ballots = _load_ballots(args.ballots)
-    res = greedy_winner(_triple(ballots, args.candidate))
-    _emit({
-        "winner": "yes" if res.winner else "no",
-        "confidence": res.confidence.value,
-    })
+    triple = _triple(ballots, args.candidate)
+    res = greedy_all_winners(triple.election)  # greedy_winner's answer from one tally
+    _emit({"winner": "yes" if triple.candidate in res.winners else "no",
+           "confidence": res.confidence.value})
     return 0
 
 

@@ -14,6 +14,9 @@ the encoding canonical (encode and decode are mutually inverse bijections).
 Files: ``.dtb`` holds the bits as ASCII '0'/'1' text; ``.dtbz`` packs them
 eight per byte after a big-endian 64-bit bit-length header, final byte
 zero-padded.
+
+Every pass walks the blocks that :func:`dodgson.election._row_blocks` cuts:
+whole votes of m fields, or bytes of eight bits, as rows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .election import _BLOCK_CELLS, DodgsonTriple, Election, _block_rows, invalid_votes
+from .election import DodgsonTriple, Election, _row_blocks, invalid_votes
 
 _DTB_WRAP = 64
 
@@ -48,16 +51,13 @@ def encode(triple: DodgsonTriple) -> str:
     e, c = triple.election, triple.candidate
     w = field_width(e.m)
     header = ("1" * w + "0" + f"{e.m:0{w}b}{c:0{w}b}").encode("ascii")
-    fields = e.ranks.ravel()
-    out = np.empty(len(header) + fields.size * w, dtype=np.uint8)
+    out = np.empty(len(header) + e.ranks.size * w, dtype=np.uint8)
     out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    votes = out[len(header) :].reshape(-1, w)
-    step = _block_rows(e.m) * e.m
-    for lo in range(0, fields.size, step):  # whole votes at a time
-        block = votes[lo : lo + step]
+    votes = out[len(header) :].reshape(e.n, e.m, w)
+    for rows in _row_blocks(e.n, e.m):
+        block = votes[rows]
         for k in range(w):  # column k holds bit w-1-k of every field
-            np.bitwise_and(fields[lo : lo + step] >> (w - 1 - k), 1, out=block[:, k],
-                           casting="unsafe")
+            np.bitwise_and(e.ranks[rows] >> (w - 1 - k), 1, out=block[..., k], casting="unsafe")
         block += ord("0")
     return str(out, "ascii")  # one copy, where tobytes().decode() makes two
 
@@ -74,27 +74,24 @@ def decode(bits: str) -> DodgsonTriple:
     if w == 0:
         raise BitDecodeError("malformed prefix: leading 1-run is empty")
 
-    pos = w + 1
-
-    def take(count: int, what: str) -> str:
-        nonlocal pos
-        if pos + count > len(bits):
+    def field(k: int, what: str) -> int:
+        """Header field k: the k-th w bits after the prefix (1 is m, 2 is c)."""
+        if len(bits) < (k + 1) * w + 1:
             raise BitDecodeError(f"underflow while reading {what}")
-        chunk = bits[pos : pos + count]
-        pos += count
-        return chunk
+        return int(bits[k * w + 1 : (k + 1) * w + 1], 2)
 
-    m = int(take(w, "candidate count"), 2)
+    m = field(1, "candidate count")
     if m < 1:
         raise BitDecodeError("candidate count is zero")
     if field_width(m) != w:
         raise BitDecodeError(
             f"candidate count {m} inconsistent with {w}-bit header fields"
         )
-    c = int(take(w, "chosen candidate"), 2)
+    c = field(2, "chosen candidate")
     if not 1 <= c <= m:
         raise BitDecodeError(f"chosen candidate {c} out of range 1..{m}")
 
+    pos = 3 * w + 1  # where the votes start
     rest = len(bits) - pos
     vote_bits = m * w
     if rest == 0:
@@ -104,17 +101,14 @@ def decode(bits: str) -> DodgsonTriple:
             f"trailing bits: {rest} vote bits is not a multiple of {vote_bits}"
         )
 
-    fields = np.empty(rest // w, dtype=np.int32)
-    step = _block_rows(m) * m
-    for lo in range(0, len(fields), step):  # whole votes at a time
-        block = fields[lo : lo + step]
-        start = pos + lo * w
-        chars = _ascii(bits[start : start + block.size * w]).reshape(-1, w)
-        block[:] = 0
+    n = rest // vote_bits
+    ranks = np.zeros((n, m), dtype=np.int32)
+    for rows, chars in zip(_row_blocks(n, m), _row_blocks(n, m, vote_bits)):
+        block = ranks[rows]
+        fields = _ascii(bits[pos + chars.start : pos + chars.stop]).reshape(-1, m, w)
         for k in range(w):
             block <<= 1
-            block |= chars[:, k] & 1  # '0' is 0x30, '1' is 0x31
-    ranks = fields.reshape(-1, m)
+            block |= fields[..., k] & 1  # '0' is 0x30, '1' is 0x31
     try:
         return DodgsonTriple(Election.from_rows(m, ranks), c)
     except ValueError:  # some vote is no permutation of 1..m
@@ -125,13 +119,10 @@ def decode(bits: str) -> DodgsonTriple:
 
 
 def _check_bits(bits: str, what: str) -> None:
-    """Reject ``bits`` if it holds any character but '0' and '1', naming every such one.
-
-    Checked one slice of ``_BLOCK_CELLS`` characters at a time.
-    """
+    """Reject ``bits`` if it holds any character but '0' and '1', naming every such one."""
     if not (bits.isascii()  # then only '0' (0x30) and '1' (0x31) pass
-            and all(((_ascii(bits[lo : lo + _BLOCK_CELLS]) | 1) == ord("1")).all()
-                    for lo in range(0, len(bits), _BLOCK_CELLS))):
+            and all(((_ascii(bits[chars]) | 1) == ord("1")).all()
+                    for chars in _row_blocks(len(bits), 1))):
         raise BitDecodeError(f"{what}: unexpected {sorted(set(bits) - {'0', '1'})!r}")
 
 
@@ -165,9 +156,8 @@ def read_dtb(path) -> str:
         raw = np.fromfile(fh, dtype=np.uint8)
     if raw.max(initial=0) < 0x80:
         kept = 0
-        for lo in range(0, len(raw), _BLOCK_CELLS):
-            block = raw[lo : lo + _BLOCK_CELLS]
-            chars = block[~_ASCII_SPACE[block]]
+        for block in _row_blocks(len(raw), 1):
+            chars = raw[block][~_ASCII_SPACE[raw[block]]]
             raw[kept : kept + len(chars)] = chars
             kept += len(chars)
         bits = str(raw[:kept], "ascii")
@@ -184,9 +174,8 @@ def write_dtbz(bits: str, path) -> None:
     """Packed bit file: u64 big-endian bit count, then zero-padded bytes."""
     _check_bits(bits, "not a bit string")
     packed = np.empty((len(bits) + 7) // 8, dtype=np.uint8)
-    for lo in range(0, len(bits), _BLOCK_CELLS):  # whole bytes at a time
-        packed[lo // 8 : (lo + _BLOCK_CELLS) // 8] = np.packbits(
-            _ascii(bits[lo : lo + _BLOCK_CELLS]) & 1)
+    for octets, chars in zip(_row_blocks(len(packed), 8), _row_blocks(len(packed), 8, 8)):
+        packed[octets] = np.packbits(_ascii(bits[chars]) & 1)  # whole bytes at a time
     with open(path, "wb") as fh:
         fh.write(struct.pack(">Q", len(bits)))
         fh.write(packed)
@@ -204,9 +193,8 @@ def read_dtbz(path) -> str:
             f"trailing bits: payload holds {len(body)} bytes, header implies {expected}"
         )
     chars = np.empty(8 * len(body), dtype=np.uint8)
-    step = _BLOCK_CELLS // 8
-    for lo in range(0, len(body), step):  # _BLOCK_CELLS bits at a time
-        chars[8 * lo : 8 * (lo + step)] = np.unpackbits(body[lo : lo + step])
+    for octets, bits in zip(_row_blocks(len(body), 8), _row_blocks(len(body), 8, 8)):
+        chars[bits] = np.unpackbits(body[octets])
     if chars[nbits:].any():
         raise BitDecodeError("trailing bits: nonzero padding in final byte")
     chars += ord("0")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -98,15 +98,27 @@ def invalid_votes(m: int, ranks: np.ndarray) -> np.ndarray:
     Rows are sorted one block at a time.
     """
     target = np.arange(1, m + 1)
-    step = _block_rows(m)
-    bad = [lo + np.flatnonzero((np.sort(ranks[lo : lo + step], axis=1) != target).any(axis=1))
-           for lo in range(0, len(ranks), step)]
+    bad = [rows.start + np.flatnonzero((np.sort(ranks[rows], axis=1) != target).any(axis=1))
+           for rows in _row_blocks(len(ranks), m)]
     return np.concatenate(bad) if bad else np.empty(0, dtype=np.intp)
 
 
 def _block_rows(m: int) -> int:
     """Rows of m cells in one block of a blocked whole-profile pass (at least one)."""
     return max(1, _BLOCK_CELLS // m)
+
+
+def _row_blocks(count: int, width: int, unit: int = 1) -> Iterator[slice]:
+    """Consecutive slices, one per block of ``_block_rows(width)`` of ``count`` rows.
+
+    A row spans ``unit`` items of what is sliced, so they cover
+    ``range(count * unit)``: rows of an array by default, or else the
+    characters or bytes that encode the rows.
+    """
+    step = _block_rows(width)
+    if count <= step:  # the common small case, without a generator
+        return iter((slice(0, count * unit),))
+    return (slice(lo * unit, min(lo + step, count) * unit) for lo in range(0, count, step))
 
 
 def _positions(ranks: np.ndarray) -> np.ndarray:
@@ -117,9 +129,8 @@ def _positions(ranks: np.ndarray) -> np.ndarray:
     """
     n, m = ranks.shape
     pos = np.empty((n, m), dtype=np.min_scalar_type(m - 1))
-    step = _block_rows(m)
-    for lo in range(0, n, step):
-        pos[lo : lo + step] = np.argsort(ranks[lo : lo + step], axis=1)
+    for rows in _row_blocks(n, m):
+        pos[rows] = np.argsort(ranks[rows], axis=1)
     return pos
 
 
@@ -182,10 +193,15 @@ def pairwise_stats(triple: DodgsonTriple) -> PairwiseStats:
     """Compute deficits and greedy-swap opportunities in one O(nm) pass over ``ranks``."""
     e, c = triple.election, triple.candidate
     ranks, m, n = e.ranks, e.m, e.n
-    is_c = ranks == c
-    pos = is_c.argmax(axis=1)  # position of c in each vote
-    below = np.bincount(ranks[np.arange(m) < pos[:, None]], minlength=m + 1).tolist()
-    swaps = np.bincount(ranks[:, 1:][is_c[:, :-1]], minlength=m + 1).tolist()  # just above c
+    below = swaps = None
+    for rows in _row_blocks(n, m):
+        block = ranks[rows]
+        is_c = block == c
+        pos = is_c.argmax(axis=1)  # position of c in each vote
+        b = np.bincount(block[np.arange(m) < pos[:, None]], minlength=m + 1)
+        s = np.bincount(block[:, 1:][is_c[:, :-1]], minlength=m + 1)  # just above c
+        below, swaps = (b, s) if below is None else (below + b, swaps + s)
+    below, swaps = below.tolist(), swaps.tolist()
     others = [d for d in e.candidates if d != c]
     return PairwiseStats({d: n - 2 * below[d] for d in others}, {d: swaps[d] for d in others})
 
@@ -216,9 +232,11 @@ def preference_counts(ranks: np.ndarray) -> np.ndarray:
     """(m, m) matrix P with P[x-1, y-1] = #votes preferring x to y.
 
     Vectorized equivalent of tallying every pairwise race.  Votes are turned
-    into positions (see :func:`_positions`) and compared in blocks of at most
-    10**6 cells and 65535 votes, so each block's counts fit uint16 partial
-    sums before they join the int64 total.
+    into positions (see :func:`_positions`) and compared in chunks of their
+    own rule, not :func:`_row_blocks`: each vote costs m*m cells of the
+    comparison cube, so a chunk holds at most 10**6 // (m*m) votes, and at
+    most 65535 so that its counts fit the uint16 partial sums that then join
+    the int64 total.
     """
     n, m = ranks.shape
     out = np.zeros((m, m), dtype=np.int64)
@@ -237,9 +255,8 @@ def adjacency_counts(ranks: np.ndarray) -> np.ndarray:
     """
     n, m = ranks.shape
     out = np.zeros(m * m, dtype=np.int64)
-    step = _block_rows(m)
-    for lo in range(0, n, step):
-        block = ranks[lo : lo + step]
+    for rows in _row_blocks(n, m):
+        block = ranks[rows]
         # stay in the input's small dtype; codes are < m*m
         codes = (block[:, :-1] - 1) * ranks.dtype.type(m) + (block[:, 1:] - 1)
         out += np.bincount(codes.ravel(), minlength=m * m)

@@ -33,7 +33,7 @@ class SamplerConfig:
 def rank_array(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """(n, m) array of n independent uniform rankings, ascending order."""
     base = np.tile(np.arange(1, m + 1, dtype=np.int32), (n, 1))
-    return rng.permuted(base, axis=1)
+    return rng.permuted(base, axis=1, out=base)  # in place: the tile is the only copy
 
 
 def sample_ranks(cfg: SamplerConfig) -> np.ndarray:

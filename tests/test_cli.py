@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from dodgson import cli
+from dodgson import DodgsonTriple, SamplerConfig, cli, greedy_winner, sample_election
+from dodgson.ballots import format_ballots, parse_ballots
 from dodgson.cli import main
 
 SIXTY_FORTY = "4 100\n" + "d,c,b,a\n" * 60 + "b,a,d,c\n" * 40
@@ -85,6 +86,19 @@ class TestWinnerCommands:
         rc, out = run_json(capsys, ["winner", sixty_file, "-c", "a"])
         assert rc == 0
         assert out["winner"] == "no"
+
+    @pytest.mark.parametrize("text", [
+        SIXTY_FORTY, FIVE_TYPE, CYCLE, "3 2\nnames: x,y,z\nz,y,x\ny,x,z\n",
+        *(format_ballots(sample_election(SamplerConfig(m, n, seed))) for m, n, seed in
+          [(1, 1, 0), (2, 3, 1), (3, 4, 2), (4, 9, 3), (5, 25, 4), (6, 60, 5), (7, 101, 6)])])
+    def test_winner_equals_greedy_winner_for_every_candidate(self, capsys, tmp_path, text):
+        path = tmp_path / "ballots.txt"
+        path.write_text(text)
+        parsed = parse_ballots(text)
+        for label in parsed.labels:
+            result = greedy_winner(DodgsonTriple(parsed.election, parsed.candidate_of(label)))
+            want = {"winner": "yes" if result.winner else "no", "confidence": result.confidence.value}
+            assert run_json(capsys, ["winner", str(path), "-c", label]) == (0, want)
 
     def test_winners_cycle(self, capsys, cycle_file):
         rc, out = run_json(capsys, ["winners", cycle_file])

@@ -4,8 +4,8 @@ Each pass walks the profile in row blocks, so beyond its input and output
 it holds a few MB at most.  tracemalloc sees numpy's buffers as well as
 Python objects; the peak is measured from the call's start, so inputs that
 already exist do not count.  Results are in MiB; each bound sits below the
-peak of the earlier whole-profile passes (from 8.6 MiB for
-``preference_counts`` to 25.7 MiB for ``parse_ballots``).
+peak of the earlier whole-profile passes (from 6.7 MiB for
+``pairwise_stats`` to 25.7 MiB for ``parse_ballots``).
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import pytest
 from dodgson import DodgsonTriple, SamplerConfig, sample_election
 from dodgson.ballots import format_ballots, parse_ballots
 from dodgson.codec import decode, encode, read_dtb, read_dtbz, write_dtb, write_dtbz
-from dodgson.election import adjacency_counts, preference_counts
+from dodgson.election import adjacency_counts, pairwise_stats, preference_counts
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,7 @@ CASES = {  # name: (bound in MiB, call)
     "format_ballots": (7, lambda x: format_ballots(x["election"])),
     "preference_counts": (3, lambda x: preference_counts(x["election"].ranks)),
     "adjacency_counts": (3, lambda x: adjacency_counts(x["election"].ranks)),
+    "pairwise_stats": (1, lambda x: pairwise_stats(x["triple"])),
     "encode": (15, lambda x: encode(x["triple"])),
     "write_dtbz": (6, lambda x: write_dtbz(x["bits"], x["scratch"])),
     "read_dtbz": (16, lambda x: read_dtbz(x["packed"])),

@@ -20,7 +20,7 @@ from dodgson.ballots import BallotFile, BallotParseError, format_ballots, parse_
 from dodgson.codec import (BitDecodeError, decode, encode, encoded_length, read_dtb,
                            read_dtbz, write_dtbz)
 from dodgson.election import (_BLOCK_CELLS, _block_rows, adjacency_counts, invalid_votes,
-                              preference_counts)
+                              pairwise_stats, preference_counts)
 from test_io_reference import outcome
 
 CANDIDATE_COUNTS = (1, 2, 3, 100, 255, 256, 257)
@@ -105,6 +105,9 @@ def test_tallies_match_reference_at_block_edges(m):
         e = Election.from_rows(m, ranks[:n])
         assert np.array_equal(e.positions, np.argsort(e.ranks, axis=1))
         assert e.positions.dtype == np.min_scalar_type(m - 1)
+        for c in sorted({1, m // 2 + 1, m}):
+            t = DodgsonTriple(e, c)
+            assert pairwise_stats(t) == ref_tally.pairwise_stats(t)
     n = sizes[-1]
     e = Election.from_rows(m, ranks[:n])
     adj = adjacency_counts(ranks[:n])
