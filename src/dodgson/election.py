@@ -116,8 +116,6 @@ def _row_blocks(count: int, width: int, unit: int = 1) -> Iterator[slice]:
     characters or bytes that encode the rows.
     """
     step = _block_rows(width)
-    if count <= step:  # the common small case, without a generator
-        return iter((slice(0, count * unit),))
     return (slice(lo * unit, min(lo + step, count) * unit) for lo in range(0, count, step))
 
 
