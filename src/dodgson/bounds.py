@@ -32,7 +32,13 @@ from .election import (
     preference_counts,
 )
 from .greedy import Confidence, _score_all, _winner_set
-from .oracle import ScoreMode, dodgson_winners, exact_dodgson_score, profile_count
+from .oracle import (
+    DEFAULT_DP_STATE_BUDGET,
+    ScoreMode,
+    dodgson_winners,
+    exact_dodgson_score,
+    profile_count,
+)
 from .sampling import SamplerConfig, sample_ranks, substream_seed
 
 EXHAUSTIVE_PROFILE_CAP = 10**6
@@ -86,22 +92,17 @@ class ExperimentReport:
     def pairfail_freq(self) -> float:
         return self.pairfail_count / self.trials
 
+    @property
+    def mismatches(self) -> int:
+        return self.mismatch_count
+
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
     def csv_row(self) -> list:
-        return [
-            self.m,
-            self.n,
-            self.trials,
-            self.seed,
-            self.maybe_freq,
-            self.pairfail_freq,
-            self.bound_winner,
-            "" if self.bound_pair is None else self.bound_pair,
-            self.mismatch_count,
-            self.wall_time,
-        ]
+        """The ``CSV_COLUMNS`` values, by attribute; ``None`` becomes ``""``."""
+        row = [getattr(self, name) for name in CSV_COLUMNS]
+        return ["" if v is None else v for v in row]
 
 
 def bound_winner(p: BoundParams) -> float:
@@ -179,7 +180,7 @@ def run_trials(
     *,
     oracle: bool = False,
     exhaustive: bool = False,
-    oracle_budget: int = 10**8,
+    oracle_budget: int = DEFAULT_DP_STATE_BUDGET,
 ) -> ExperimentReport:
     """Monte Carlo (or exhaustive) sweep checking greedy confidence against the bounds.
 
@@ -199,14 +200,14 @@ def run_trials(
     profile in ``itertools.product`` order, which is the least failing one.
     """
     m, n = params.m, params.n
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
 
     if exhaustive:
         trials = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
         cases = _multisets(m, n)
     else:
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         cfg = SamplerConfig(m, n, seed)
         cases = ((i, 1, sample_ranks(replace(cfg, seed=substream_seed(seed, i))))
                  for i in range(trials))
@@ -276,12 +277,14 @@ def run_trials(
     )
 
 
-def write_report(report: ExperimentReport, path) -> None:
+def write_report(reports: list[ExperimentReport], path) -> None:
+    """One JSON object per report and per line, as ``dodgson experiment`` prints them."""
     with open(path, "w") as fh:
-        fh.write(report.to_json() + "\n")
+        fh.writelines(r.to_json() + "\n" for r in reports)
 
 
 def write_csv(reports: list[ExperimentReport], path) -> None:
+    """The ``CSV_COLUMNS`` header, then one row per report."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

@@ -19,7 +19,14 @@ from .bounds import BoundParams, SelfCheckError, run_trials, write_csv, write_re
 from .codec import decode, encode, read_dtb, read_dtbz, write_dtb, write_dtbz
 from .election import DodgsonTriple
 from .greedy import greedy_all_winners, greedy_score
-from .oracle import BudgetExceededError, ScoreMode, bfs_swap_score, exact_dodgson_score
+from .oracle import (
+    DEFAULT_BFS_PROFILE_BUDGET,
+    DEFAULT_DP_STATE_BUDGET,
+    BudgetExceededError,
+    ScoreMode,
+    bfs_swap_score,
+    exact_dodgson_score,
+)
 from .sampling import SamplerConfig, sample_election
 
 
@@ -88,18 +95,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    report = run_trials(
-        BoundParams(args.m, args.n),
-        args.trials,
-        args.seed,
-        oracle=args.oracle,
-        exhaustive=args.exhaustive,
-    )
+    """One report per (m, n) cell, m-major; files are written once every cell has run."""
+    reports = []
+    for m in args.m:
+        for n in args.n:
+            reports.append(run_trials(BoundParams(m, n), args.trials, args.seed,
+                                      oracle=args.oracle, exhaustive=args.exhaustive))
+            print(reports[-1].to_json(), flush=True)
     if args.output:
-        write_report(report, args.output)
+        write_report(reports, args.output)
     if args.csv:
-        write_csv([report], args.csv)
-    print(report.to_json())
+        write_csv(reports, args.csv)
     return 0
 
 
@@ -160,11 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="winning condition (default: strict)")
     p.add_argument("--check-bfs", action="store_true",
                    help="cross-check against the profile-search oracle")
-    p.add_argument("--dp-budget", type=int, default=10**8,
-                   help="max DP states (default 1e8; up to 12 bytes of memory each)")
-    p.add_argument("--bfs-budget", type=int, default=10**6,
-                   help="max (m!)^n profiles for --check-bfs (default 1e6); its table "
-                        "has at most one 8-byte cell per profile")
+    p.add_argument("--dp-budget", type=int, default=DEFAULT_DP_STATE_BUDGET,
+                   help=f"max DP states (default {DEFAULT_DP_STATE_BUDGET:,}; up to 12 "
+                        "bytes of memory each)")
+    p.add_argument("--bfs-budget", type=int, default=DEFAULT_BFS_PROFILE_BUDGET,
+                   help="max (m!)^n profiles for --check-bfs (default "
+                        f"{DEFAULT_BFS_PROFILE_BUDGET:,}); its table has at most one "
+                        "8-byte cell per profile")
 
     p = sub.add_parser("generate", help="sample a uniform random election")
     p.add_argument("-m", type=int, required=True, help="candidate count")
@@ -175,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment",
                        help="Monte Carlo check of the correctness-frequency bounds")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-m", type=int, nargs="+", required=True,
+                   help="candidate counts; each pairs with every -n value")
+    p.add_argument("-n", type=int, nargs="+", required=True, help="vote counts")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true",
@@ -185,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact counts over all (m!)^n profiles (cap 10^6): one election "
                         "per vote multiset, weighted by its multinomial; errors name the "
                         "multiset's first profile in product order")
-    p.add_argument("-o", "--output", help="report JSON file")
-    p.add_argument("--csv", help="report CSV file")
+    p.add_argument("-o", "--output", help="report file: the printed JSON lines")
+    p.add_argument("--csv", help="report CSV file: a header, then one row per cell")
     p.set_defaults(func=cmd_experiment)
 
     p = ballots_cmd("encode", cmd_encode, "encode ballots + candidate as a bit file")

@@ -148,6 +148,10 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(BoundParams(2, 2), 0, seed=0)
 
+    def test_exhaustive_ignores_trials(self):
+        rep = run_trials(BoundParams(3, 3), 0, 0, exhaustive=True)
+        assert (rep.maybe_count, rep.pairfail_count, rep.trials) == (96, 216, 216)
+
 
 def first_trial(m, n, seed, trials, has_event):
     """Index of the first sampled election of a run for which has_event holds."""
@@ -192,7 +196,7 @@ class TestReportSerialization:
     def test_json_field_names(self, tmp_path):
         rep = run_trials(BoundParams(2, 10), 50, seed=4)
         path = tmp_path / "report.json"
-        write_report(rep, path)
+        write_report([rep], path)
         data = json.loads(path.read_text())
         assert set(data) == {
             "m", "n", "trials", "seed", "maybe_count", "pairfail_count",

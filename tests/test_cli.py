@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -39,6 +41,11 @@ def cycle_file(tmp_path):
     p = tmp_path / "cycle.ballots"
     p.write_text(CYCLE)
     return str(p)
+
+
+def masked(text):
+    """``text`` with each wall_time value, a JSON key's or a CSV row's last field, as T."""
+    return re.sub(r'(?<="wall_time": )[0-9.e+-]+|(?<=,)[0-9.e+-]+(?=\r?\n)', "T", text)
 
 
 def run_json(capsys, argv):
@@ -158,6 +165,28 @@ class TestGenerate:
         assert rc2 == 0 and "score" in score
 
 
+# `dodgson experiment -m 3 -n 25 --trials 500 --seed 7`: its stdout line (also
+# its -o file) and its --csv file, byte for byte once wall_time is masked
+CELL_LINE = (
+    '{"m": 3, "n": 25, "trials": 500, "seed": 7, "maybe_count": 1, "pairfail_count": 450, '
+    '"mismatch_count": 0, "bound_winner": 8.479779334292594, '
+    '"bound_pair": 1.4132965557154324, "wall_time": T}\n'
+)
+CELL_CSV = (
+    "m,n,trials,seed,maybe_freq,pairfail_freq,bound_winner,bound_pair,mismatches,wall_time\r\n"
+    "3,25,500,7,0.002,0.9,8.479779334292594,1.4132965557154324,0,T\r\n"
+)
+
+
+def run_experiment(capsys, tmp_path, ms, ns, *options):
+    """(exit code, stdout, -o file text, --csv file text) of one experiment run."""
+    jsonl, table = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    rc = main(["experiment", "-m", *ms, "-n", *ns, *options,
+               "-o", str(jsonl), "--csv", str(table)])
+    out = capsys.readouterr().out
+    return rc, out, *(p.read_bytes().decode() if p.exists() else None for p in (jsonl, table))
+
+
 class TestExperiment:
     def test_trivial_single_candidate(self, capsys, tmp_path):
         rep_file = str(tmp_path / "r.json")
@@ -182,6 +211,43 @@ class TestExperiment:
         header = open(csv_file).readline().strip().split(",")
         assert header[:4] == ["m", "n", "trials", "seed"]
 
+
+    def test_exhaustive_ignores_trials(self, capsys):
+        rc, out = run_json(capsys, ["experiment", "-m", "3", "-n", "3", "--exhaustive",
+                                    "--trials", "0"])
+        assert rc == 0
+        assert (out["maybe_count"], out["pairfail_count"], out["trials"]) == (96, 216, 216)
+
+    def test_one_cell_prints_writes_and_tabulates_the_same_bytes(self, capsys, tmp_path):
+        rc, out, jsonl, table = run_experiment(capsys, tmp_path, ["3"], ["25"],
+                                               "--trials", "500", "--seed", "7")
+        assert rc == 0
+        assert masked(out) == CELL_LINE and jsonl == out
+        assert masked(table) == CELL_CSV
+
+    def test_grid_runs_m_major_and_every_cell_as_if_alone(self, capsys, tmp_path):
+        options = ("--trials", "500", "--seed", "7")
+        grid = tmp_path / "grid"
+        grid.mkdir()
+        rc, out, jsonl, table = run_experiment(capsys, grid, ["2", "3"], ["25", "101"], *options)
+        assert rc == 0 and jsonl == out
+        lines, rows = out.splitlines(keepends=True), table.splitlines(keepends=True)
+        assert len(lines) == 4 and len(rows) == 5
+        for k, (m, n) in enumerate(itertools.product(["2", "3"], ["25", "101"])):
+            cell = tmp_path / f"m{m}n{n}"
+            cell.mkdir()
+            rc, cell_out, _, cell_table = run_experiment(capsys, cell, [m], [n], *options)
+            assert rc == 0
+            assert masked(lines[k]) == masked(cell_out)
+            assert masked(rows[0] + rows[k + 1]) == masked(cell_table)
+
+    def test_a_failing_cell_keeps_the_printed_lines_and_writes_no_file(self, capsys, tmp_path):
+        # (2!)^3 = 8 profiles, then (2!)^1000 over the exhaustive cap
+        rc, out, jsonl, table = run_experiment(capsys, tmp_path, ["2"], ["3", "1000"],
+                                               "--exhaustive")
+        assert rc == 3
+        assert [json.loads(line)["trials"] for line in out.splitlines()] == [8]
+        assert jsonl is None and table is None
 
     def test_exhaustive_over_the_cap_is_a_budget_error(self, capsys):
         rc = main(["experiment", "-m", "10", "-n", "1000", "--exhaustive"])

@@ -58,15 +58,43 @@ def test_golden_counts_at_the_cap_edge(m, n):
     assert rep.mismatch_count == 0
 
 
+def m3_maybe_count(n):
+    """Profiles of n votes over 3 candidates in which some candidate is 'maybe'.
+
+    c is 'maybe' iff some d sits above c, not directly, in at least n/2 votes.
+    At m=3 that is d on top and c at the bottom, one of the six rankings, and
+    each vote does this for one ordered pair only.  So two pairs reach n/2
+    together only when n is even and the votes split n/2 : n/2 between their
+    two rankings, which the sum over the six pairs counts twice.
+    """
+    one_pair = sum(math.comb(n, k) * 5 ** (n - k) for k in range((n + 1) // 2, n + 1))
+    two_pairs = math.comb(6, 2) * math.comb(n, n // 2) if n % 2 == 0 else 0
+    return 6 * one_pair - two_pairs
+
+
 @pytest.mark.parametrize("n, expected", [(1, 6), (3, 96), (5, 1656), (7, 29616)])
 def test_m3_odd_n_maybe_count_closed_form(n, expected):
-    # c is 'maybe' iff some d sits above c, not directly, in at least n/2 votes.
-    # At m=3 that is d on top and c at the bottom, one of the six rankings;
-    # each vote does this for one ordered pair only, so for odd n at most one
-    # pair can reach more than n/2 votes and the six pair events are disjoint.
-    closed = 6 * sum(math.comb(n, k) * 5 ** (n - k) for k in range(n // 2 + 1, n + 1))
-    assert closed == expected
+    # for odd n at most one pair can reach more than n/2 votes: the six pair
+    # events are disjoint
+    assert m3_maybe_count(n) == expected
     assert exhaustive(3, n).maybe_count == expected
+
+
+@pytest.mark.parametrize("n, expected", [(2, 36), (4, 936), (6, 17136)])
+def test_m3_even_n_maybe_count_closed_form(n, expected):
+    # a '>' for '>=' in the greedy's short test leaves every odd n as it is
+    # but reads 6, 126 and 2436 here
+    assert m3_maybe_count(n) == expected
+    assert exhaustive(3, n).maybe_count == expected
+
+
+@pytest.mark.parametrize("n, observed", [(10, 882), (11, 239), (25, 2)])
+def test_m3_sampled_maybe_count_within_five_sigma_of_the_closed_form(n, observed):
+    trials = 10_000
+    p = m3_maybe_count(n) / 6**n
+    count = run_trials(BoundParams(3, n), trials, 0).maybe_count
+    assert abs(count - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+    assert count == observed
 
 
 def distinct_votes(e):
