@@ -19,7 +19,7 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import comb, exp
 from typing import Optional
 
@@ -39,7 +39,7 @@ from .oracle import (
     exact_dodgson_score,
     profile_count,
 )
-from .sampling import SamplerConfig, sample_ranks, substream_seed
+from .sampling import SamplerConfig, sample_ranks, substream_seed, substreams
 
 EXHAUSTIVE_PROFILE_CAP = 10**6
 
@@ -155,11 +155,12 @@ def _pair_condition_matrix(pref: np.ndarray, adj: np.ndarray, m: int, n: int) ->
 
 
 def _multisets(m: int, n: int):
-    """(profile index, weight, ranks) for each multiset of n votes over m candidates.
+    """(weight, ranks) for each multiset of n votes over m candidates.
 
-    ``ranks`` is the multiset's sorted arrangement, the first of its orderings
-    in ``itertools.product`` order, and the profile index is that ordering's
-    position there.  ``weight`` is the multinomial count of its orderings.
+    Multisets come in ``itertools.combinations_with_replacement`` order over
+    the m! rankings.  ``ranks`` holds the multiset's votes sorted, which is
+    also its least profile in ``itertools.product`` order, and ``weight`` is
+    the multinomial count of its orderings.
     """
     perms = list(itertools.permutations(range(1, m + 1)))
     for combo in itertools.combinations_with_replacement(range(len(perms)), n):
@@ -167,10 +168,7 @@ def _multisets(m: int, n: int):
         for _, group in itertools.groupby(combo):
             k = len(list(group))
             weight, left = weight * comb(left, k), left - k
-        index = 0
-        for k in combo:
-            index = index * len(perms) + k
-        yield index, weight, np.array([perms[k] for k in combo], dtype=np.int32)
+        yield weight, np.array([perms[k] for k in combo], dtype=np.int32)
 
 
 def run_trials(
@@ -189,15 +187,17 @@ def run_trials(
     violates the tally conditions.  Two proven facts are enforced as hard
     errors on every trial: a candidate whose pairs all satisfy the conditions
     must be definite, and (with oracle=on) every definite score/answer must
-    match the exact oracle.  Each error names the trial, and the substream
-    seed (or exhaustive profile index) that regenerates its election.
+    match the exact oracle.  Each error names the trial and what regenerates
+    its election: a sampled trial's substream seed, which
+    ``dodgson generate --seed`` takes, or an exhaustive trial's ballots.
 
     With ``exhaustive=True`` the frequencies are exact over all (m!)^n
     profiles, and ``trials`` is ignored.  Every count depends on a profile
     only through its multiset of votes, so the sweep scores one election per
     multiset, weighted by its multinomial count of orderings.  The cap is
-    still (m!)^n <= 10^6 profiles.  An error names the multiset's first
-    profile in ``itertools.product`` order, which is the least failing one.
+    still (m!)^n <= 10^6 profiles.  An error names the multiset's position in
+    the walk and prints its sorted ballots, most preferred first, as
+    ``dodgson decode`` prints them: the least failing profile.
     """
     m, n = params.m, params.n
     t0 = time.perf_counter()
@@ -206,21 +206,18 @@ def run_trials(
         trials = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
         cases = _multisets(m, n)
     else:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        cfg = SamplerConfig(m, n, seed)
-        cases = ((i, 1, sample_ranks(replace(cfg, seed=substream_seed(seed, i))))
-                 for i in range(trials))
+        cases = ((1, sample_ranks(cfg)) for cfg in substreams(SamplerConfig(m, n, seed), trials))
 
-    def where(i: int) -> str:
-        source = f"profile {i}" if exhaustive else f"substream seed {substream_seed(seed, i)}"
+    def where(i: int, ranks: np.ndarray) -> str:
+        source = (f"ballots {ranks[:, ::-1].tolist()}" if exhaustive
+                  else f"substream seed {substream_seed(seed, i)}")
         return f"trial {i}, {source}, m={m}, n={n}, seed={seed}"
 
     maybe_count = 0
     pairfail_count = 0
     mismatch_count = 0
-    first_mismatch = 0
-    for i, weight, ranks in cases:
+    first_mismatch = ""
+    for i, (weight, ranks) in enumerate(cases):
         pref = preference_counts(ranks)
         adj = adjacency_counts(ranks)
         results = _score_all(pref, adj)
@@ -235,7 +232,7 @@ def run_trials(
             if holds[c - 1] and not definite[c - 1]:
                 raise SelfCheckError(
                     f"tally conditions hold for candidate {c} but greedy "
-                    f"confidence is 'maybe' ({where(i)})"
+                    f"confidence is 'maybe' ({where(i, ranks)})"
                 )
 
         if oracle:
@@ -254,13 +251,13 @@ def run_trials(
                 )
             if bad:
                 if not mismatch_count:
-                    first_mismatch = i
+                    first_mismatch = where(i, ranks)
                 mismatch_count += weight
 
     if mismatch_count:
         raise SelfCheckError(
             f"{mismatch_count} definite greedy answers disagreed with the exact "
-            f"oracle; the first in {where(first_mismatch)}"
+            f"oracle; the first in {first_mismatch}"
         )
 
     return ExperimentReport(

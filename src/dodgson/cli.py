@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .ballots import BallotFile, format_ballots, parse_ballots
 from .bounds import BoundParams, SelfCheckError, run_trials, write_csv, write_report
-from .codec import decode, encode, read_dtb, read_dtbz, write_dtb, write_dtbz
+from .codec import decode, encode, read_bit_file, write_dtb, write_dtbz
 from .election import DodgsonTriple
 from .greedy import greedy_all_winners, greedy_score
 from .oracle import (
@@ -122,8 +122,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    packed = args.packed or str(args.bitfile).endswith(".dtbz")
-    bits = read_dtbz(args.bitfile) if packed else read_dtb(args.bitfile)
+    bits = read_bit_file(args.bitfile)
     triple = decode(bits)
     del bits  # freed before the ballot text is built
     e = triple.election
@@ -192,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify every definite answer against the exact oracle")
     p.add_argument("--exhaustive", action="store_true",
                    help="exact counts over all (m!)^n profiles (cap 10^6): one election "
-                        "per vote multiset, weighted by its multinomial; errors name the "
-                        "multiset's first profile in product order")
+                        "per vote multiset, weighted by its multinomial; errors print the "
+                        "failing multiset's ballots")
     p.add_argument("-o", "--output", help="report file: the printed JSON lines")
     p.add_argument("--csv", help="report CSV file: a header, then one row per cell")
     p.set_defaults(func=cmd_experiment)
@@ -203,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packed", action="store_true", help="force packed output")
 
     p = sub.add_parser("decode", help="decode a bit file back to ballots")
-    p.add_argument("bitfile", help=".dtb or .dtbz file")
+    p.add_argument("bitfile", help=".dtb or .dtbz file, told apart by its first byte")
     p.add_argument("-o", "--output", help="ballot file to write (default: inline JSON)")
-    p.add_argument("--packed", action="store_true", help="force packed input")
     p.set_defaults(func=cmd_decode)
 
     return parser

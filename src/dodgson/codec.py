@@ -13,7 +13,8 @@ the encoding canonical (encode and decode are mutually inverse bijections).
 
 Files: ``.dtb`` holds the bits as ASCII '0'/'1' text; ``.dtbz`` packs them
 eight per byte after a big-endian 64-bit bit-length header, final byte
-zero-padded.
+zero-padded.  Only a packed file starts with a zero byte, the top byte of
+its bit count below 2^56, so :func:`read_bit_file` needs no file name.
 
 Every pass walks the blocks that :func:`dodgson.election._row_blocks` cuts:
 whole votes of m fields, or bytes of eight bits, as rows.
@@ -50,15 +51,14 @@ def encode(triple: DodgsonTriple) -> str:
     """Encode a triple as a '0'/'1' string."""
     e, c = triple.election, triple.candidate
     w = field_width(e.m)
-    header = ("1" * w + "0" + f"{e.m:0{w}b}{c:0{w}b}").encode("ascii")
+    digits = np.arange(e.m + 1)[:, None] >> np.arange(w - 1, -1, -1) & 1  # row v: v's bits
+    fields = (digits | ord("0")).astype(np.uint8).view(f"S{w}").ravel()  # fields[v]: v in ASCII
+    header = b"1" * w + b"0" + fields[e.m] + fields[c]
     out = np.empty(len(header) + e.ranks.size * w, dtype=np.uint8)
     out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    votes = out[len(header) :].reshape(e.n, e.m, w)
+    votes = out[len(header) :].view(f"S{w}").reshape(e.n, e.m)
     for rows in _row_blocks(e.n, e.m):
-        block = votes[rows]
-        for k in range(w):  # column k holds bit w-1-k of every field
-            np.bitwise_and(e.ranks[rows] >> (w - 1 - k), 1, out=block[..., k], casting="unsafe")
-        block += ord("0")
+        np.take(fields, e.ranks[rows], out=votes[rows], mode="clip")  # ranks are in 1..m
     return str(out, "ascii")  # one copy, where tobytes().decode() makes two
 
 
@@ -136,6 +136,13 @@ def _ascii(text: str) -> np.ndarray:
 
 
 # -- file formats -----------------------------------------------------------
+
+
+def read_bit_file(path) -> str:
+    """The bits of a ``.dtb`` or ``.dtbz`` file, whatever its name."""
+    with open(path, "rb") as fh:
+        packed = fh.read(1) == b"\0"
+    return read_dtbz(path) if packed else read_dtb(path)
 
 
 def write_dtb(bits: str, path) -> None:

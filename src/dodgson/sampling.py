@@ -53,9 +53,14 @@ def substream_seed(seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_stream(cfg: SamplerConfig, trials: int) -> Iterator[Election]:
-    """``trials`` independent elections, one substream per trial."""
+def substreams(cfg: SamplerConfig, trials: int) -> Iterator[SamplerConfig]:
+    """The config that trial i samples from, for i in ``range(trials)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for i in range(trials):
-        yield sample_election(replace(cfg, seed=substream_seed(cfg.seed, i)))
+        yield replace(cfg, seed=substream_seed(cfg.seed, i))
+
+
+def sample_stream(cfg: SamplerConfig, trials: int) -> Iterator[Election]:
+    """``trials`` independent elections, one substream per trial."""
+    return map(sample_election, substreams(cfg, trials))

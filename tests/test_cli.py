@@ -277,6 +277,17 @@ class TestCodecCommands:
         # line "c,b,a" under first-appearance labels c=1,b=2,a=3, most preferred first
         assert decoded["ballots"][0] == [1, 2, 3]
 
+    def test_decode_tells_the_format_from_the_first_byte(self, capsys, tmp_path, cycle_file):
+        decoded = {}
+        for ext, renamed in (("dtbz", "t.bin"), ("dtb", "text.dtbz")):
+            bitfile = tmp_path / f"t.{ext}"
+            assert run_json(capsys, ["encode", cycle_file, "-c", "a", "-o", str(bitfile)])[0] == 0
+            bitfile.rename(tmp_path / renamed)
+            rc, decoded[ext] = run_json(capsys, ["decode", str(tmp_path / renamed)])
+            assert rc == 0
+        assert decoded["dtbz"] == decoded["dtb"]
+        assert decoded["dtb"]["ballots"][0] == [1, 2, 3]
+
     def test_decode_truncated(self, capsys, tmp_path):
         bad = tmp_path / "t.dtb"
         bad.write_text("101\n")

@@ -4,19 +4,22 @@ Every count depends on a profile only through how many votes hold each
 ranking, so ``run_trials(..., exhaustive=True)`` scores each multiset once
 and weights it by its multinomial count of orderings.  These tests hold it
 to the one-profile-at-a-time walk in ``reference_tally``, to golden counts
-at the edge of the profile cap, to a closed form, and to the profile that
-each self-check error names.
+at the edge of the profile cap, to a closed form, and to the ballots that
+each self-check error prints.
 """
 
 import itertools
+import json
 import math
+import re
 
 import pytest
 
 import reference_tally as ref
-from dodgson import (BoundParams, Confidence, DodgsonTriple, Election, SelfCheckError,
-                     greedy_score, pair_condition_holds, run_trials)
+from dodgson import (BoundParams, Confidence, DodgsonTriple, Election, ScoreMode,
+                     SelfCheckError, greedy_score, pair_condition_holds, run_trials)
 from dodgson import bounds, oracle
+from dodgson.election import adjacency_counts, preference_counts
 from dodgson.bounds import EXHAUSTIVE_PROFILE_CAP
 from dodgson.greedy import GreedyScoreResult
 
@@ -97,6 +100,25 @@ def test_m3_sampled_maybe_count_within_five_sigma_of_the_closed_form(n, observed
     assert count == observed
 
 
+def walk_position(e):
+    """Where the walk meets e's vote multiset, and the ballots an error prints for it.
+
+    The walk takes multisets in ``combinations_with_replacement`` order over
+    the rankings; the ballots are the multiset's votes sorted, most preferred
+    first.
+    """
+    perms = list(itertools.permutations(range(1, e.m + 1)))
+    combo = tuple(sorted(perms.index(vote) for vote in e.votes))
+    k = list(itertools.combinations_with_replacement(range(len(perms)), e.n)).index(combo)
+    return k, [list(perms[j][::-1]) for j in combo]
+
+
+def printed_election(message):
+    """The election whose ballots an exhaustive self-check error prints."""
+    ballots = json.loads(re.search(r"ballots (\[\[.*?\]\]),", message).group(1))
+    return Election(len(ballots[0]), [tuple(reversed(b)) for b in ballots])
+
+
 def distinct_votes(e):
     """No two votes are the same ranking; profile 0 (every vote 1<2<3) is not."""
     return len(set(e.votes)) == e.n
@@ -114,11 +136,12 @@ def test_oracle_mismatch_names_least_failing_profile_and_counts_all(monkeypatch,
         greedy_score(DodgsonTriple(e, c)).confidence is Confidence.DEFINITELY
         for c in e.candidates)]
     assert failing[0] > 0
+    k, ballots = walk_position(profiles(3, n)[failing[0]])
     with pytest.raises(SelfCheckError) as info:
         exhaustive(3, n, oracle=True, seed=5)
     assert str(info.value) == (
         f"{len(failing)} definite greedy answers disagreed with the exact oracle; "
-        f"the first in trial {failing[0]}, profile {failing[0]}, m=3, n={n}, seed=5")
+        f"the first in trial {k}, ballots {ballots}, m=3, n={n}, seed=5")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -138,11 +161,40 @@ def test_implication_failure_names_least_failing_profile(monkeypatch, n):
         if all(pair_condition_holds(DodgsonTriple(e, c), d) for d in e.candidates if d != c)]
     i, c = failing[0]
     assert i > 0
+    k, ballots = walk_position(profiles(3, n)[i])
     with pytest.raises(SelfCheckError) as info:
         exhaustive(3, n, seed=5)
     assert str(info.value) == (
         f"tally conditions hold for candidate {c} but greedy confidence is 'maybe' "
-        f"(trial {i}, profile {i}, m=3, n={n}, seed=5)")
+        f"(trial {k}, ballots {ballots}, m=3, n={n}, seed=5)")
+
+
+def test_printed_ballots_fail_the_patched_check(monkeypatch):
+    """Each self-check, patched to fail, fails again on the ballots its error prints."""
+    real_score, real_all = bounds.exact_dodgson_score, bounds._score_all
+    maybe = GreedyScoreResult(0, Confidence.MAYBE)
+
+    def wrong_on_distinct_votes(triple, *args, **kwargs):
+        return -1 if distinct_votes(triple.election) else real_score(triple, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "exact_dodgson_score", wrong_on_distinct_votes)
+    with pytest.raises(SelfCheckError, match="disagreed with the exact oracle") as info:
+        exhaustive(3, 3, oracle=True)
+    e = printed_election(str(info.value))
+    assert any(greedy_score(t).confidence is Confidence.DEFINITELY
+               and greedy_score(t).score != bounds.exact_dodgson_score(t, ScoreMode.STRICT)
+               for t in map(DodgsonTriple, [e] * e.m, e.candidates))
+
+    monkeypatch.setattr(bounds, "_score_all", lambda pref, adj: (
+        [maybe] * len(pref) if pref[0, 2] > 0 else real_all(pref, adj)))
+    with pytest.raises(SelfCheckError, match="greedy confidence is 'maybe'") as info:
+        exhaustive(3, 3)
+    e = printed_election(str(info.value))
+    results = bounds._score_all(preference_counts(e.ranks), adjacency_counts(e.ranks))
+    assert any(results[c - 1].confidence is Confidence.MAYBE
+               and all(pair_condition_holds(DodgsonTriple(e, c), d)
+                       for d in e.candidates if d != c)
+               for c in e.candidates)
 
 
 def test_exhaustive_oracle_solves_each_multiset_once(monkeypatch):
