@@ -187,7 +187,7 @@ def _read_canonical(text: str) -> Optional[BallotFile]:
 def _ballot_file(ranks: np.ndarray, names: Optional[dict[str, int]]) -> Optional[BallotFile]:
     """Ascending ``ranks`` labelled by ``names`` (else by index); None if not all rankings."""
     try:
-        election = Election.from_rows(ranks.shape[1], ranks)
+        election = Election(ranks.shape[1], ranks)
     except ValueError:
         return None
     labels = _index_labels(election.m) if names is None else sorted(names, key=names.__getitem__)

@@ -236,7 +236,7 @@ def run_trials(
                 )
 
         if oracle:
-            e = Election.from_rows(m, ranks)
+            e = Election(m, ranks)
             exact = {
                 c: exact_dodgson_score(
                     DodgsonTriple(e, c), ScoreMode.STRICT, state_budget=oracle_budget

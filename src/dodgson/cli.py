@@ -112,7 +112,7 @@ def cmd_experiment(args) -> int:
 def cmd_encode(args) -> int:
     ballots = _load_ballots(args.ballots)
     bits = encode(_triple(ballots, args.candidate))
-    packed = args.packed or str(args.output).endswith(".dtbz")
+    packed = str(args.output).endswith(".dtbz")
     if packed:
         write_dtbz(bits, args.output)
     else:
@@ -198,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = ballots_cmd("encode", cmd_encode, "encode ballots + candidate as a bit file")
-    p.add_argument("-o", "--output", required=True, help=".dtb or .dtbz file")
-    p.add_argument("--packed", action="store_true", help="force packed output")
+    p.add_argument("-o", "--output", required=True, help=".dtbz file (packed) or any other (text)")
 
     p = sub.add_parser("decode", help="decode a bit file back to ballots")
     p.add_argument("bitfile", help=".dtb or .dtbz file, told apart by its first byte")

@@ -110,7 +110,7 @@ def decode(bits: str) -> DodgsonTriple:
             block <<= 1
             block |= fields[..., k] & 1  # '0' is 0x30, '1' is 0x31
     try:
-        return DodgsonTriple(Election.from_rows(m, ranks), c)
+        return DodgsonTriple(Election(m, ranks), c)
     except ValueError:  # some vote is no permutation of 1..m
         vote = tuple(ranks[invalid_votes(m, ranks)[0]].tolist())
     if any(not 1 <= cand <= m for cand in vote):

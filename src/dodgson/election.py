@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,9 +27,11 @@ _BLOCK_CELLS = 1 << 16
 class Election:
     """An ordered profile of n strict rankings over candidates 1..m.
 
-    ``votes`` may be given as any sequence of rows or as an (n, m) integer
-    array.  The only stored form is ``ranks``; the tuple form ``votes`` and
-    the position table ``positions`` are derived from it on first read.
+    ``votes`` may be given as an (n, m) integer array or as any iterable of
+    rows, read once into a list of tuples that becomes an array; both forms
+    take the same checks.  The only stored form is ``ranks``; the tuple form
+    ``votes`` and the position table ``positions`` are derived from it on
+    first read.
     Equality and hashing compare ``(m, ranks)``.  Immutable after
     construction; zero candidates or zero voters are not valid elections.
     """
@@ -41,15 +43,12 @@ class Election:
     def __init__(self, m: int, votes) -> None:
         if m < 1:
             raise ValueError(f"need at least one candidate, got m={m}")
-        if isinstance(votes, np.ndarray):
-            ranks = _validated_ranks(m, votes, votes)
-        else:
-            if not isinstance(votes, tuple) or not all(isinstance(v, tuple) for v in votes):
-                votes = tuple(tuple(v) for v in votes)
+        if not isinstance(votes, np.ndarray):
+            votes = [tuple(v) for v in votes]  # drains an iterator once
             for i, vote in enumerate(votes):  # shape first: no oversized allocation
                 if len(vote) != m:
                     raise _not_a_permutation(m, i, vote)
-            ranks = _validated_ranks(m, np.array(votes), votes)
+        ranks = _validated_ranks(m, np.asarray(votes), votes)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "ranks", ranks)
 
@@ -84,11 +83,6 @@ class Election:
     @property
     def candidates(self) -> range:
         return range(1, self.m + 1)
-
-    @classmethod
-    def from_rows(cls, m: int, rows: Iterable[Sequence[int]]) -> "Election":
-        """Election from an (n, m) array of ascending rows (or any iterable of rows)."""
-        return cls(m, rows)
 
 
 def invalid_votes(m: int, ranks: np.ndarray) -> np.ndarray:
@@ -141,8 +135,9 @@ def _not_a_permutation(m: int, i: int, vote) -> ValueError:
 def _validated_ranks(m: int, arr: np.ndarray, rows) -> np.ndarray:
     """Read-only int32 copy of ``arr`` after checking every row is a permutation.
 
-    ``rows`` are the votes as the caller gave them (``arr`` itself, or what
-    it was built from); they only feed the error message for the first bad row.
+    ``rows`` are the votes as the caller gave them (``arr`` itself, or the
+    tuples it was built from); they only feed the error message for the first
+    bad row.
     """
     if arr.shape[:1] == (0,):
         raise ValueError("need at least one vote")

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .election import DodgsonTriple, Election, pairwise_stats
+from .election import DodgsonTriple, Election
 
 DEFAULT_DP_STATE_BUDGET = 10**8
 DEFAULT_BFS_PROFILE_BUDGET = 10**6
@@ -100,15 +100,18 @@ def exact_dodgson_score(
     most that many.  A lift of t crosses the t candidates directly above c,
     flipping one pairwise vote against each: each crossing shifts a running
     copy one step down d's axis and adds to its cost, and the table keeps the
-    cellwise minimum.
+    cellwise minimum.  The deficits come from the cached ``e.positions``, so
+    one argsort serves every candidate and mode, and no exact oracle shares
+    the greedy's tally.
 
     Memory: one cell per state in each of up to three live tables, a cell
     being the smallest unsigned int holding n*m + m (two bytes up to n*m ~
     65000, four beyond): 0.6-1.2 GB at the default budget of 10^8 states.
     """
     e, c = triple.election, triple.candidate
-    stats = pairwise_stats(triple)
-    needs = {d: k for d, z in stats.deficit.items() if (k := flips_needed(z, mode)) > 0}
+    pos = e.positions  # d's deficit: 2 * (votes ranking d above c) - n; c's own, -n, needs none
+    deficits = (2 * np.count_nonzero(pos > pos[:, c - 1 : c], axis=0) - e.n).tolist()
+    needs = {d: k for d, z in enumerate(deficits, 1) if (k := flips_needed(z, mode)) > 0}
     if not needs:
         return 0
     if _capped_product((k + 1 for k in needs.values()), state_budget) is None:
@@ -180,8 +183,8 @@ def bfs_swap_score(
     ((n-1)//2 strict, n//2 tie-or-beat) can never win and has no cell.
     ``source`` maps a cell and subset to the cell it came from, or to -1, an
     always-infinite cell.  Positions come from argsorting ``ranks``, not
-    from :func:`pairwise_stats`, so this oracle shares no scoring code with
-    the DP.
+    from the ``e.positions`` that the DP reads, so this oracle shares no
+    scoring code with the DP.
 
     Memory: (2*(limit+1))^(m-1) eight-byte cells in ``source`` and in each
     vote's gather, never more than the (m!)^n that ``profile_budget``

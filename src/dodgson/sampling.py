@@ -44,7 +44,7 @@ def sample_ranks(cfg: SamplerConfig) -> np.ndarray:
 
 def sample_election(cfg: SamplerConfig) -> Election:
     """One uniform random election; identical config gives identical votes."""
-    return Election.from_rows(cfg.m, sample_ranks(cfg))
+    return Election(cfg.m, sample_ranks(cfg))
 
 
 def substream_seed(seed: int, trial: int) -> int:

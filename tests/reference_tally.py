@@ -125,7 +125,7 @@ def exhaustive_counts(m: int, n: int, oracle: bool = False) -> tuple[int, int, i
         maybe += not all(definite)
         pairfail += not _pair_condition_matrix(pref, adj, m, n).all()
         if oracle:
-            e = Election.from_rows(m, ranks)
+            e = Election(m, ranks)
             bad = any(exact_dodgson_score(DodgsonTriple(e, c), ScoreMode.STRICT)
                       != results[c - 1].score for c in e.candidates if definite[c - 1])
             if all(definite):

@@ -277,6 +277,20 @@ class TestCodecCommands:
         # line "c,b,a" under first-appearance labels c=1,b=2,a=3, most preferred first
         assert decoded["ballots"][0] == [1, 2, 3]
 
+    def test_any_other_name_gets_a_text_bit_file(self, capsys, tmp_path, cycle_file):
+        bitfile = tmp_path / "x.bin"
+        rc, summary = run_json(capsys, ["encode", cycle_file, "-c", "a", "-o", str(bitfile)])
+        assert rc == 0 and summary["packed"] is False
+        assert bitfile.read_bytes()[:1] == b"1"
+        rc, decoded = run_json(capsys, ["decode", str(bitfile)])
+        assert rc == 0 and decoded["ballots"][0] == [1, 2, 3]
+
+    def test_the_name_alone_picks_the_format(self, capsys, tmp_path, cycle_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", cycle_file, "-c", "a", "-o", str(tmp_path / "x.bin"), "--packed"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.bin").exists()
+
     def test_decode_tells_the_format_from_the_first_byte(self, capsys, tmp_path, cycle_file):
         decoded = {}
         for ext, renamed in (("dtbz", "t.bin"), ("dtb", "text.dtbz")):

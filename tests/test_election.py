@@ -62,9 +62,11 @@ class TestValidation:
 
 
 class TestFromRows:
+    """``Election(m, rows)`` with rows as an array or an iterable, through one set of checks."""
+
     def test_array_rows(self):
         arr = np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64)
-        e = Election.from_rows(3, arr)
+        e = Election(3, arr)
         assert e == Election(3, ((2, 1, 3), (1, 3, 2)))
         assert all(type(c) is int for v in e.votes for c in v)
         assert e.ranks.dtype == np.int32 and not e.ranks.flags.writeable
@@ -72,22 +74,30 @@ class TestFromRows:
         assert e.ranks[0, 0] == 2
 
     def test_iterable_rows(self):
-        assert Election.from_rows(2, iter([[1, 2]])) == Election(2, ((1, 2),))
+        assert Election(2, iter([[1, 2]])) == Election(2, ((1, 2),))
+        rows = ((2, 1, 3), (1, 3, 2))  # a generator is read once
+        drawn = []
+        gen = (drawn.append(r) or r for r in rows)
+        assert Election(3, gen) == Election(3, rows)
+        assert drawn == list(rows) and next(gen, None) is None
+        bad = (r for r in ((1, 2, 3), (1, 3, 3)))
+        with pytest.raises(ValueError, match=r"vote 1 is not a permutation of 1..3: \(1, 3, 3\)"):
+            Election(3, bad)
 
     def test_array_errors(self):
         with pytest.raises(ValueError, match=r"vote 1 is not a permutation of 1..2: \(2, 2\)"):
-            Election.from_rows(2, np.array([[1, 2], [2, 2]]))
+            Election(2, np.array([[1, 2], [2, 2]]))
         with pytest.raises(ValueError, match="vote 0 is not a permutation"):
-            Election.from_rows(2, np.array([[1.0, 2.0]]))
+            Election(2, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match=r"expected an \(n, 3\) array"):
-            Election.from_rows(3, np.array([[1, 2]]))
+            Election(3, np.array([[1, 2]]))
         with pytest.raises(ValueError, match="at least one vote"):
-            Election.from_rows(3, np.zeros((0, 3), dtype=int))
+            Election(3, np.zeros((0, 3), dtype=int))
 
     @given(elections())
     def test_ranks_match_votes(self, e):
         assert e.ranks.tolist() == [list(v) for v in e.votes]
-        assert Election.from_rows(e.m, e.ranks) == e
+        assert Election(e.m, e.ranks) == e
 
 
 class TestStoredForm:
@@ -103,7 +113,7 @@ class TestStoredForm:
             assert "positions" not in vars(built)
 
     def test_positions_derived_on_first_read(self):
-        e = Election.from_rows(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
+        e = Election(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
         twin = Election(3, ((2, 1, 3), (1, 3, 2)))
         assert e.positions.tolist() == [[1, 0, 2], [0, 2, 1]]
         assert e.positions.dtype == np.uint8
@@ -113,7 +123,7 @@ class TestStoredForm:
         assert e == twin and hash(e) == hash(twin)  # the table takes no part
 
     def test_votes_derived_on_first_read(self):
-        e = Election.from_rows(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
+        e = Election(3, np.array([[2, 1, 3], [1, 3, 2]], dtype=np.int64))
         assert e.votes == ((2, 1, 3), (1, 3, 2))
         assert all(type(v) is tuple and all(type(c) is int for c in v) for v in e.votes)
         assert vars(e)["votes"] is e.votes  # cached
@@ -126,7 +136,7 @@ class TestStoredForm:
             Election(3, [list(r) for r in rows]),
             Election(3, np.array(rows, dtype=np.int64)),
             Election(3, np.array(rows, dtype=np.uint8)),
-            Election.from_rows(3, iter(rows)),
+            Election(3, iter(rows)),
         ]
         for e in forms:
             assert e == forms[0] and hash(e) == hash(forms[0])

@@ -24,7 +24,7 @@ from dodgson import (
     sample_election,
     sample_stream,
 )
-from dodgson import oracle
+from dodgson import election, oracle
 from dodgson.oracle import profile_count
 
 STRICT = ScoreMode.STRICT
@@ -137,15 +137,22 @@ class TestBfsOracle:
             bfs_swap_score(DodgsonTriple(e, 1))
 
     def test_reads_ranks_not_votes(self):
-        e = Election.from_rows(4, np.array([[1, 2, 3, 4], [2, 4, 1, 3], [4, 3, 2, 1]]))
+        e = Election(4, np.array([[1, 2, 3, 4], [2, 4, 1, 3], [4, 3, 2, 1]]))
         assert bfs_swap_score(DodgsonTriple(e, 1)) == 1  # 3 is just above 1 in vote 2
         assert "votes" not in vars(e)
 
     def test_independent_of_pairwise_stats(self, monkeypatch, cycle):
+        # neither oracle reads the greedy's tally, and the BFS not the DP's positions
         def broken(*args, **kwargs):
-            raise RuntimeError("pairwise_stats called")
+            raise RuntimeError("shared scoring code called")
 
-        monkeypatch.setattr(oracle, "pairwise_stats", broken)
+        monkeypatch.setattr(election, "pairwise_stats", broken)
+        monkeypatch.setattr(oracle, "pairwise_stats", broken, raising=False)
+        for c in cycle.candidates:
+            for mode in (STRICT, TIE):
+                assert exact_dodgson_score(DodgsonTriple(cycle, c), mode) == 1
+                assert bfs_swap_score(DodgsonTriple(cycle, c), mode) == 1
+        monkeypatch.setattr(Election, "positions", property(broken))
         for c in cycle.candidates:
             assert bfs_swap_score(DodgsonTriple(cycle, c)) == 1
             assert bfs_swap_score(DodgsonTriple(cycle, c), TIE) == 1

@@ -58,7 +58,7 @@ def test_io_matches_reference_at_block_edges(m):
     named = ref_io.format_ballots(whole, labels).splitlines()
     reference_bits = ref_io.encode(DodgsonTriple(whole, m))
     for n in edge_sizes(m):
-        e = Election.from_rows(m, whole.ranks[:n])
+        e = Election(m, whole.ranks[:n])
         for names, lines in ((None, plain), (labels, named)):
             head = len(lines) - whole.n  # the 'm n' line, and the names line if any
             text = format_ballots(e, names)
@@ -86,7 +86,7 @@ def test_format_matches_reference_at_its_block_edges(m):
         lines = ref_io.format_ballots(whole, names).splitlines()
         head = len(lines) - whole.n
         for n in sizes:
-            e = Election.from_rows(m, whole.ranks[:n])
+            e = Election(m, whole.ranks[:n])
             assert format_ballots(e, names) == "\n".join([f"{m} {n}", *lines[1 : head + n], ""])
 
 
@@ -102,14 +102,14 @@ def test_tallies_match_reference_at_block_edges(m):
         want += ref_tally.preference_counts(ranks[lo:n])
         lo = n
         assert np.array_equal(preference_counts(ranks[:n]), want)
-        e = Election.from_rows(m, ranks[:n])
+        e = Election(m, ranks[:n])
         assert np.array_equal(e.positions, np.argsort(e.ranks, axis=1))
         assert e.positions.dtype == np.min_scalar_type(m - 1)
         for c in sorted({1, m // 2 + 1, m}):
             t = DodgsonTriple(e, c)
             assert pairwise_stats(t) == ref_tally.pairwise_stats(t)
     n = sizes[-1]
-    e = Election.from_rows(m, ranks[:n])
+    e = Election(m, ranks[:n])
     adj = adjacency_counts(ranks[:n])
     for c in (1, m // 2 + 1, m):
         stats = ref_tally.pairwise_stats(DodgsonTriple(e, c))

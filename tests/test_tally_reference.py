@@ -33,7 +33,7 @@ def assert_matches_reference(e):
         for d in e.candidates:
             if d != c:
                 expected = ref.pair_condition_holds(t, d)
-                fresh = DodgsonTriple(Election.from_rows(e.m, e.ranks), c)
+                fresh = DodgsonTriple(Election(e.m, e.ranks), c)
                 assert "positions" not in vars(fresh.election)
                 assert pair_condition_holds(fresh, d) is expected
                 assert "positions" in vars(fresh.election)
@@ -142,7 +142,7 @@ def test_scalar_pair_condition_equals_matrix_entry(e):
 def test_large_profile_matches_reference():
     rng = np.random.default_rng(3)
     ranks = rng.permuted(np.tile(np.arange(1, 9), (500, 1)), axis=1)
-    assert_matches_reference(Election.from_rows(8, ranks))
+    assert_matches_reference(Election(8, ranks))
 
 
 def test_positions_do_not_wrap_at_m_256():
