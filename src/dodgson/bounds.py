@@ -202,11 +202,12 @@ def run_trials(
     m, n = params.m, params.n
     t0 = time.perf_counter()
 
+    config = SamplerConfig(m, n, seed)  # checks the seed whichever source runs
     if exhaustive:
         trials = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
         cases = _multisets(m, n)
     else:
-        cases = ((1, sample_ranks(cfg)) for cfg in substreams(SamplerConfig(m, n, seed), trials))
+        cases = ((1, sample_ranks(cfg)) for cfg in substreams(config, trials))
 
     def where(i: int, ranks: np.ndarray) -> str:
         source = (f"ballots {ranks[:, ::-1].tolist()}" if exhaustive

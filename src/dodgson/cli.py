@@ -15,8 +15,9 @@ from pathlib import Path
 
 from . import __version__
 from .ballots import BallotFile, format_ballots, parse_ballots
-from .bounds import BoundParams, SelfCheckError, run_trials, write_csv, write_report
-from .codec import decode, encode, read_bit_file, write_dtb, write_dtbz
+from .bounds import (EXHAUSTIVE_PROFILE_CAP, BoundParams, SelfCheckError, run_trials,
+                     write_csv, write_report)
+from .codec import decode, encode, read_bit_file, write_bit_file
 from .election import DodgsonTriple
 from .greedy import greedy_all_winners, greedy_score
 from .oracle import (
@@ -112,11 +113,7 @@ def cmd_experiment(args) -> int:
 def cmd_encode(args) -> int:
     ballots = _load_ballots(args.ballots)
     bits = encode(_triple(ballots, args.candidate))
-    packed = str(args.output).endswith(".dtbz")
-    if packed:
-        write_dtbz(bits, args.output)
-    else:
-        write_dtb(bits, args.output)
+    packed = write_bit_file(bits, args.output)
     _emit({"output": str(args.output), "bits": len(bits), "packed": packed})
     return 0
 
@@ -190,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="verify every definite answer against the exact oracle")
     p.add_argument("--exhaustive", action="store_true",
-                   help="exact counts over all (m!)^n profiles (cap 10^6): one election "
-                        "per vote multiset, weighted by its multinomial; errors print the "
-                        "failing multiset's ballots")
+                   help="exact counts over all (m!)^n profiles (cap "
+                        f"{EXHAUSTIVE_PROFILE_CAP:,}): one election per vote multiset, "
+                        "weighted by its multinomial; errors print the failing "
+                        "multiset's ballots")
     p.add_argument("-o", "--output", help="report file: the printed JSON lines")
     p.add_argument("--csv", help="report CSV file: a header, then one row per cell")
     p.set_defaults(func=cmd_experiment)

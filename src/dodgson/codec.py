@@ -13,11 +13,16 @@ the encoding canonical (encode and decode are mutually inverse bijections).
 
 Files: ``.dtb`` holds the bits as ASCII '0'/'1' text; ``.dtbz`` packs them
 eight per byte after a big-endian 64-bit bit-length header, final byte
-zero-padded.  Only a packed file starts with a zero byte, the top byte of
-its bit count below 2^56, so :func:`read_bit_file` needs no file name.
+zero-padded.  :func:`write_bit_file` packs for a ``.dtbz`` name and writes
+text for any other.  Only a packed file starts with a zero byte, the top
+byte of its bit count below 2^56, so :func:`read_bit_file` needs no file
+name.
 
-Every pass walks the blocks that :func:`dodgson.election._row_blocks` cuts:
-whole votes of m fields, or bytes of eight bits, as rows.
+:func:`encode`, :func:`decode` and :func:`write_dtbz` walk the blocks that
+:func:`dodgson.election._row_blocks` cuts (whole votes of m fields, or bytes
+of eight bits, as rows), which bounds their scratch.  The two readers make
+whole-buffer calls: each peaks at about two copies of the bits, the string
+it returns and one buffer as long, which a block walk would not lower.
 """
 
 from __future__ import annotations
@@ -126,8 +131,7 @@ def _check_bits(bits: str, what: str) -> None:
         raise BitDecodeError(f"{what}: unexpected {sorted(set(bits) - {'0', '1'})!r}")
 
 
-_ASCII_SPACE = np.zeros(256, dtype=bool)  # the ASCII characters that str.split() splits on
-_ASCII_SPACE[[ord(c) for c in map(chr, range(0x80)) if c.isspace()]] = True
+_ASCII_SPACES = bytes(c for c in range(0x80) if chr(c).isspace())  # what str.split() splits on
 
 
 def _ascii(text: str) -> np.ndarray:
@@ -145,6 +149,13 @@ def read_bit_file(path) -> str:
     return read_dtbz(path) if packed else read_dtb(path)
 
 
+def write_bit_file(bits: str, path) -> bool:
+    """Write ``bits`` packed to a ``.dtbz`` name, as text to any other; True if packed."""
+    packed = str(path).endswith(".dtbz")
+    (write_dtbz if packed else write_dtb)(bits, path)  # read per call, so a rebound name counts
+    return packed
+
+
 def write_dtb(bits: str, path) -> None:
     """ASCII bit file, wrapped for inspectability."""
     with open(path, "w") as fh:
@@ -155,19 +166,13 @@ def write_dtb(bits: str, path) -> None:
 def read_dtb(path) -> str:
     """The bits of an ASCII bit file, all whitespace dropped.
 
-    An ASCII file is read as bytes and squeezed in place one block at a time,
-    dropping the bytes that ``str.split()`` splits on, so its scratch is the
-    file's bytes; any other file is read as text.
+    An ASCII file's bytes lose the characters that ``str.split()`` splits
+    on in one ``bytes.translate``; any other file is read as text.
     """
-    with open(path, "rb") as fh:
-        raw = np.fromfile(fh, dtype=np.uint8)
-    if raw.max(initial=0) < 0x80:
-        kept = 0
-        for block in _row_blocks(len(raw), 1):
-            chars = raw[block][~_ASCII_SPACE[raw[block]]]
-            raw[kept : kept + len(chars)] = chars
-            kept += len(chars)
-        bits = str(raw[:kept], "ascii")
+    raw = Path(path).read_bytes()
+    if raw.isascii():
+        raw = raw.translate(None, _ASCII_SPACES)  # rebound first: never three copies at once
+        bits = str(raw, "ascii")
     else:
         del raw
         bits = "".join(Path(path).read_text().split())
@@ -199,9 +204,7 @@ def read_dtbz(path) -> str:
         raise BitDecodeError(
             f"trailing bits: payload holds {len(body)} bytes, header implies {expected}"
         )
-    chars = np.empty(8 * len(body), dtype=np.uint8)
-    for octets, bits in zip(_row_blocks(len(body), 8), _row_blocks(len(body), 8, 8)):
-        chars[bits] = np.unpackbits(body[octets])
+    chars = np.unpackbits(body)
     if chars[nbits:].any():
         raise BitDecodeError("trailing bits: nonzero padding in final byte")
     chars += ord("0")

@@ -152,6 +152,12 @@ class TestRunTrials:
         rep = run_trials(BoundParams(3, 3), 0, 0, exhaustive=True)
         assert (rep.maybe_count, rep.pairfail_count, rep.trials) == (96, 216, 216)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_exhaustive_checks_the_seed_as_sampling_does(self, seed):
+        for exhaustive in (False, True):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                run_trials(BoundParams(3, 3), 1, seed, exhaustive=exhaustive)
+
 
 def first_trial(m, n, seed, trials, has_event):
     """Index of the first sampled election of a run for which has_event holds."""

@@ -255,6 +255,15 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert "exhaustive mode" in err and "10^6559.8" in err
 
+    def test_exhaustive_rejects_a_seed_as_a_sampled_run_does(self, capsys):
+        argv = ["experiment", "-m", "2", "-n", "3", "--seed", "-5"]
+        assert main(argv) == 2
+        sampled = capsys.readouterr()
+        assert main([*argv, "--exhaustive"]) == 2
+        assert capsys.readouterr() == sampled
+        assert sampled.out == ""
+        assert sampled.err == "error: seed must be an unsigned 64-bit integer\n"
+
 
 class TestCodecCommands:
     def test_encode_decode_round_trip(self, capsys, tmp_path, cycle_file):
