@@ -108,11 +108,12 @@ def parse_ballots(text: str) -> BallotFile:
         raise BallotParseError(where, f"expected {n} ballot lines, got {len(body)}")
     if any(line.count(",") != m - 1 for _, line in body):
         _check_entries(body, m)  # raises
+    if names is None and not all(map(_is_int, _tokens(body[0][1]))):
+        names = _first_appearance(body, m)  # a names file without a names header
 
     # Sized from n and m only now that the text holds n lines of m entries.
     ranks = np.empty((n, m), dtype=np.int32)
     ballots = ranks[:, ::-1]  # most preferred first, as the lines list them
-    filled = 0
     if names is None:  # int() strips the whitespace around an entry itself
         texts = ("\n".join([*(line for _, line in body[rows]), ""]) for rows in _row_blocks(n, m))
         filled = _read_blocks(ballots, (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -120,12 +121,10 @@ def parse_ballots(text: str) -> BallotFile:
         # an index outside 1..m is stored as 0, which no dtype wraps into range
         filled = _fill(ballots, body, lambda line: [
             i if 0 < i <= m else 0 for i in map(int, line.split(","))], filled)
-    if filled < n:  # a names header, or some entry is no integer index
+    else:
+        filled = _fill(ballots, body, lambda line: [names[t] for t in _tokens(line)])
+    if filled < n:  # an empty entry outranks a bad one on an earlier line
         _check_entries(body, m)
-        if names is None and not all(map(_is_int, _tokens(body[0][1]))):
-            names = _first_appearance(body, m)
-        if names is not None:
-            filled = _fill(ballots, body, lambda line: [names[t] for t in _tokens(line)])
     if filled == n and (parsed := _ballot_file(ranks, names)) is not None:
         return parsed
     bad = invalid_votes(m, ranks[:filled])  # some ballot is no ranking, or is unread
@@ -260,10 +259,14 @@ def _check_entries(body: list[tuple[int, str]], m: int) -> None:
 
 
 def _first_appearance(body: list[tuple[int, str]], m: int) -> dict[str, int]:
-    """Index names in reading order, most preferred first, up to m of them."""
+    """Index names in reading order, most preferred first, up to m of them.
+
+    Empty entries are skipped: they are entry errors, which the fill that
+    meets them leaves for :func:`_check_entries` to report.
+    """
     names: dict[str, int] = {}
     for _, line in body:
-        for t in _tokens(line):
+        for t in filter(None, _tokens(line)):
             names.setdefault(t, len(names) + 1)
             if len(names) == m:
                 return names

@@ -28,6 +28,7 @@ import numpy as np
 from .election import (
     DodgsonTriple,
     Election,
+    _check_cells,
     adjacency_counts,
     preference_counts,
 )
@@ -203,6 +204,7 @@ def run_trials(
     t0 = time.perf_counter()
 
     config = SamplerConfig(m, n, seed)  # checks the seed whichever source runs
+    _check_cells("each trial's profile", n, m)  # m=1 admits any n to the exhaustive walk
     if exhaustive:
         trials = profile_count(m, n, EXHAUSTIVE_PROFILE_CAP, "exhaustive mode")
         cases = _multisets(m, n)

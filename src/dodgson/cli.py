@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 internal self-check failure (e.g. oracle
-disagreement), 2 input error, 3 search budget exceeded.  Results go to
-stdout as JSON; diagnostics go to stderr.
+disagreement), 2 input error, 3 search or memory budget exceeded (a shape
+over a budget, or an allocation that failed).  Results go to stdout as JSON;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -219,8 +220,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # BallotParseError and BitDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except SelfCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

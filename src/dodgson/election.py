@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import log10
 from typing import Iterator, Optional
 
 import numpy as np
@@ -21,6 +22,30 @@ Vote = tuple[int, ...]
 # parsing, formatting, tallying and the bit codec stays near a fixed size
 # however many votes there are.
 _BLOCK_CELLS = 1 << 16
+
+# Cells that an array sized from a shape alone may hold: the (m, m) tallies, a
+# sampled (n, m) profile, each profile of an experiment.  A few bytes of input
+# can ask for any such shape, so each is checked before it is allocated; what
+# is parsed from ballot text or a bit string is bounded by their length.
+CELL_BUDGET = 10**8
+
+
+class BudgetExceededError(RuntimeError):
+    """Instance is too large for the configured search or memory budget."""
+
+
+def _over_budget(what: str, log10_size: float, cap: int) -> BudgetExceededError:
+    excess = log10_size - log10(max(cap, 1))
+    return BudgetExceededError(
+        f"{what} ~ 10^{log10_size:.1f}, over the budget of {cap} by a factor of ~10^{excess:.1f}"
+    )
+
+
+def _check_cells(what: str, rows: int, columns: int) -> None:
+    """Raise :class:`BudgetExceededError` if a rows x columns array exceeds ``CELL_BUDGET``."""
+    if rows * columns > CELL_BUDGET:
+        raise _over_budget(f"{what} needs {rows} x {columns} cells",
+                           log10(rows) + log10(columns), CELL_BUDGET)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -232,6 +257,7 @@ def preference_counts(ranks: np.ndarray) -> np.ndarray:
     the int64 total.
     """
     n, m = ranks.shape
+    _check_cells("preference tally", m, m)
     out = np.zeros((m, m), dtype=np.int64)
     chunk = max(1, min(65535, 1_000_000 // (m * m)))
     for lo in range(0, n, chunk):
@@ -247,6 +273,7 @@ def adjacency_counts(ranks: np.ndarray) -> np.ndarray:
     Counted one row block at a time: ``bincount`` widens its input to intp.
     """
     n, m = ranks.shape
+    _check_cells("adjacency tally", m, m)
     out = np.zeros(m * m, dtype=np.int64)
     for rows in _row_blocks(n, m):
         block = ranks[rows]

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .election import DodgsonTriple, Election
+from .election import BudgetExceededError, DodgsonTriple, Election, _over_budget
 
 DEFAULT_DP_STATE_BUDGET = 10**8
 DEFAULT_BFS_PROFILE_BUDGET = 10**6
@@ -35,10 +35,6 @@ DEFAULT_BFS_PROFILE_BUDGET = 10**6
 class ScoreMode(str, Enum):
     STRICT = "strict"
     TIE_OR_BEAT = "tie-or-beat"
-
-
-class BudgetExceededError(RuntimeError):
-    """Instance is too large for the configured oracle search budget."""
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> Optional[int]:
@@ -53,13 +49,6 @@ def _capped_product(factors: Iterable[int], cap: int) -> Optional[int]:
         if total > cap:
             return None
     return total
-
-
-def _over_budget(what: str, log10_size: float, cap: int) -> BudgetExceededError:
-    excess = log10_size - log10(max(cap, 1))
-    return BudgetExceededError(
-        f"{what} ~ 10^{log10_size:.1f}, over the budget of {cap} by a factor of ~10^{excess:.1f}"
-    )
 
 
 def profile_count(m: int, n: int, cap: int, what: str) -> int:

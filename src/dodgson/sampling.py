@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .election import Election
+from .election import Election, _check_cells
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,11 @@ class SamplerConfig:
 
 
 def rank_array(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """(n, m) array of n independent uniform rankings, ascending order."""
+    """(n, m) array of n independent uniform rankings, ascending order.
+
+    Raises :class:`BudgetExceededError` before allocating if n*m exceeds ``CELL_BUDGET``.
+    """
+    _check_cells("sampled profile", n, m)
     base = np.tile(np.arange(1, m + 1, dtype=np.int32), (n, 1))
     return rng.permuted(base, axis=1, out=base)  # in place: the tile is the only copy
 

@@ -154,6 +154,14 @@ def test_criterion_04_winner_bound_consistency(mc_reports):
     )
 
 
+def test_criterion_04_golden_counts(mc_reports):
+    # (maybe_count, pairfail_count) of criterion 4's two runs, exactly; a
+    # rewrite of the trial engine must reproduce them
+    rep_m2, rep_m3, _ = mc_reports
+    assert (rep_m2.maybe_count, rep_m2.pairfail_count) == (0, 27)
+    assert (rep_m3.maybe_count, rep_m3.pairfail_count) == (0, 0)
+
+
 def test_criterion_05_per_pair_bound():
     violations = 0
     trials = 100_000

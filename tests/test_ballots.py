@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_io as ref
 from dodgson import Election
 from dodgson.ballots import BallotParseError, _read_entries, format_ballots, parse_ballots
 
@@ -109,6 +110,22 @@ class TestParseErrors:
         assert line == 3 and "out of range" in msg
         line, msg = self.line_of("2 1\n99999999999999999999,1\n")
         assert line == 2 and "out of range" in msg
+
+
+@pytest.mark.parametrize("text, line", [
+    ("3 1\na,,b\n", 2),  # no label '' is taken from the first ballot
+    ("3 2\nb,a,c\na,,c\n", 3),
+    ("3 2\nnames: a,b,c\nx,a,b\na,,c\n", 4),  # the empty entry outranks the unknown name
+    ("3 2\n1,2,3\n1,,3\n", 3),
+    ("3 2\n1,,3\n1,2,3\n", 2),
+])
+def test_empty_entry_is_an_entries_error(text, line):
+    with pytest.raises(BallotParseError) as err:
+        parse_ballots(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: expected 3 comma-separated entries")
+    with pytest.raises(BallotParseError) as ref_err:
+        ref.parse_ballots(text)
+    assert str(ref_err.value) == str(err.value)
 
 
 def read_entries(line: str) -> bool:

@@ -1,7 +1,9 @@
 """Scratch memory of the ballot, tally and bit-codec passes at m=100, n=10**4.
 
 Each pass walks the profile in row blocks, so beyond its input and output
-it holds a few MB at most.  tracemalloc sees numpy's buffers as well as
+it holds a few MB at most, except the two bit-file readers: ``read_dtb`` and
+``read_dtbz`` make whole-buffer reads, each peaking at about two copies of
+the bits.  tracemalloc sees numpy's buffers as well as
 Python objects; the peak is measured from the call's start, so inputs that
 already exist do not count.  Results are in MiB; each bound sits below the
 peak of the earlier whole-profile passes (from 6.7 MiB for
